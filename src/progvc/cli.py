@@ -60,8 +60,11 @@ def _emit(args, report: dict, flat_rows: Optional[list] = None) -> None:
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -271,9 +274,16 @@ def cmd_free_search(args) -> int:
     return EXIT_OK
 
 
+def _parse_ints(flag: str, text: str) -> list:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"{flag} takes comma-separated integers, got {text!r}") from exc
+
+
 def cmd_free_witness(args) -> int:
-    bounds_list = [int(tok) for tok in args.bounds.split(",") if tok.strip()]
-    subset = [int(tok) for tok in args.subset.split(",") if tok.strip()]
+    bounds_list = _parse_ints("--bounds", args.bounds)
+    subset = _parse_ints("--subset", args.subset)
     spec = freegroup.generator_shatter_witness(args.k, bounds_list, subset)
     result = {
         "translate": str(spec.translate),

@@ -13,10 +13,16 @@ Everything here leans on the Cayley graph being a tree: geodesics are
 unique, the d_i add along paths, and translated progressions are connected
 subtrees.
 
-Shattering questions for these translates are decided exactly: any cutting
-translate can be slid to an entry vertex h of the minimal tree of X without
-changing its trace, and at h only the componentwise-minimal bounds matter,
-so scanning (vertex, minimal bounds) pairs is a complete search.
+Shattering questions for these translates are decided exactly, on plain
+letter tuples. With b the word_key-least point, the minimal tree of X is
+the prefix trie of the reduced words b^-1 x. Any cutting translate slides
+to an entry vertex h of that tree without changing its trace, and at h
+only the componentwise-minimal bounds matter. So the traces cut out at h
+are the intersections of one threshold set {x : d_i(h, x) <= t} per
+coordinate i. Visiting the vertices in word_key order and keeping, for
+each trace, the first vertex and its minimal bounds gives the trace family
+that every shattering question here reads. The public ``minimal_tree``,
+``leaves`` and ``branches`` are the slow reference it is tested against.
 """
 
 from __future__ import annotations
@@ -106,9 +112,13 @@ def _letter_key(x: int) -> tuple[int, int]:
     return (abs(x), 0 if x > 0 else 1)
 
 
+def _letters_key(letters: tuple[int, ...]) -> tuple:
+    return (len(letters), tuple(_letter_key(x) for x in letters))
+
+
 def word_key(u: FWord) -> tuple:
     """Length-then-lexicographic sort key; a_i sorts before a_i^-1."""
-    return (len(u.letters), tuple(_letter_key(x) for x in u.letters))
+    return _letters_key(u.letters)
 
 
 _TOKEN = re.compile(r"(\d+)(?:\^(-?\d+))?$")
@@ -402,49 +412,151 @@ def _empty_trace_spec(points_sorted: Sequence[FWord]) -> FProgressionSpec:
     return FProgressionSpec((0,) * rank, g)
 
 
-def _witness_scan(
-    verts: Sequence[FWord],
-    rows: Sequence[Sequence[tuple[int, ...]]],
-    want: int,
-    npoints: int,
-    rank: int,
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    # Complete search for a translate cutting out the subset encoded by the
-    # bitmask ``want`` (bit j = point j). Any cutting translate g*P(Nbar)
-    # with nonempty trace slides to its entry vertex h of the minimal tree
-    # with the same trace, and at h the componentwise-minimal bounds (the
-    # max distance to the kept points, per coordinate) give the smallest
-    # trace containing them. Larger bounds only add points, so checking the
-    # minimal bounds at every vertex decides the subset exactly.
-    for hi, row in enumerate(rows):
-        bounds = [0] * rank
-        for j in range(npoints):
-            if want >> j & 1:
-                dv = row[j]
-                for i in range(rank):
-                    if dv[i] > bounds[i]:
-                        bounds[i] = dv[i]
-        ok = True
-        for j in range(npoints):
-            dv = row[j]
-            inside = True
-            for i in range(rank):
-                if dv[i] > bounds[i]:
-                    inside = False
-                    break
-            if inside != bool(want >> j & 1):
-                ok = False
-                break
-        if ok:
-            return hi, tuple(bounds)
-    return None
+def _rebase(base: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of the reduced word base^-1 * x, for reduced base and x."""
+    common = 0
+    for a, c in zip(base, x):
+        if a != c:
+            break
+        common += 1
+    return tuple(-a for a in reversed(base[common:])) + x[common:]
 
 
-def _search_tables(points_sorted: Sequence[FWord]):
-    tree = minimal_tree(points_sorted)
-    verts = sorted(tree.vertices, key=word_key)
-    rows = [[dist_vector(h, x) for x in points_sorted] for h in verts]
-    return verts, rows
+class _PrefixTrie:
+    """The minimal tree of a point set, as the prefix trie of the words
+    b^-1 x rebased at the word_key-least point b.
+
+    Node c stands for the vertex b * p_c, where p_c is the trie prefix of c;
+    node 0 is b. ``words[c]`` is the reduced word of that vertex,
+    ``kids[c]`` maps a letter to the child across it, ``edge[c]`` is the
+    parent and letter of the edge into c, ``below[c]`` is the bitmask of
+    points (bit j for the j-th point) in the subtree of c, and ``at[j]`` is
+    the node of point j.
+    """
+
+    def __init__(self, points_sorted: Sequence[FWord]):
+        base = points_sorted[0].letters
+        self.rank = points_sorted[0].rank
+        self.n = len(points_sorted)
+        self.words = [base]
+        self.kids: list[dict] = [{}]
+        self.edge = [(0, 0)]
+        self.below = [0]
+        self.at = []
+        for j, x in enumerate(points_sorted):
+            bit = 1 << j
+            c = 0
+            self.below[0] |= bit
+            for a in _rebase(base, x.letters):
+                child = self.kids[c].get(a)
+                if child is None:
+                    child = len(self.words)
+                    self.kids[c][a] = child
+                    w = self.words[c]
+                    self.words.append(w[:-1] if w and w[-1] == -a else w + (a,))
+                    self.kids.append({})
+                    self.edge.append((c, a))
+                    self.below.append(0)
+                c = child
+                self.below[c] |= bit
+            self.at.append(c)
+
+    def vertex(self, c: int) -> FWord:
+        return FWord(self.rank, self.words[c])
+
+    def leaf_only(self) -> bool:
+        """Whether the points are exactly the vertices of degree at most 1.
+
+        Every vertex of degree at most 1 is a point: a childless node ends
+        the path of the point that created it, and the root is a point.
+        """
+        return all(len(self.kids[c]) + (c > 0) <= 1 for c in self.at)
+
+    def tripod_center(self) -> Optional[int]:
+        """The vertex outside the points whose three branches hold a third
+        of the points each, or None; the point count is a multiple of 3.
+
+        Such a vertex is not the root, so its branches are its two child
+        subtrees and the part above, which holds the remaining third. It is
+        unique: the two branches of a second one that avoid the first would
+        both lie in a single branch of the first.
+        """
+        arm = self.n // 3
+        points = set(self.at)
+        return next(
+            (
+                c
+                for c in range(1, len(self.words))
+                if len(self.kids[c]) == 2
+                and c not in points
+                and all(self.below[d].bit_count() == arm for d in self.kids[c].values())
+            ),
+            None,
+        )
+
+    def rows(self) -> list[list[list[int]]]:
+        """``rows[c][i][j]`` = d_{i+1}(vertex c, point j).
+
+        At the root it is cnt(point j), the letter count of its rebased word.
+        Crossing the edge into a child labelled a_i^(+-1) changes coordinate
+        i only: by -1 for the points below the child, +1 for the rest.
+        """
+        size = len(self.words)
+        cnt = [(0,) * self.rank]
+        for c in range(1, size):
+            parent, a = self.edge[c]
+            counts = list(cnt[parent])
+            counts[abs(a) - 1] += 1
+            cnt.append(tuple(counts))
+        rows = [[[cnt[c][i] for c in self.at] for i in range(self.rank)]]
+        for c in range(1, size):
+            parent, a = self.edge[c]
+            i, sub = abs(a) - 1, self.below[c]
+            row = list(rows[parent])
+            row[i] = [d - 1 if sub >> j & 1 else d + 1 for j, d in enumerate(row[i])]
+            rows.append(row)
+        return rows
+
+
+def _thresholds(values: Sequence[int]) -> list[int]:
+    """The masks {j : values[j] <= t}, one per distinct value t."""
+    by_value: dict[int, int] = {}
+    for j, v in enumerate(values):
+        by_value[v] = by_value.get(v, 0) | 1 << j
+    masks, acc = [], 0
+    for v in sorted(by_value):
+        acc |= by_value[v]
+        masks.append(acc)
+    return masks
+
+
+def _trace_family(trie: _PrefixTrie) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Every nonempty trace of a translated progression on the points, as a
+    bitmask, mapped to the first trie node in word_key order that cuts it
+    out and the componentwise-minimal bounds there.
+
+    At a vertex, bounds N give the trace {x : d(h, x) <= N}, the AND of one
+    threshold mask per coordinate, and the minimal bounds of a trace give
+    the trace back. So the traces cut out at a vertex are the
+    AND-combinations of its threshold masks, de-duplicated after each
+    coordinate. The visit stops once every nonempty subset is present.
+    """
+    full = (1 << trie.n) - 1
+    family: dict[int, tuple[int, tuple[int, ...]]] = {}
+    rows = trie.rows()
+    for c in sorted(range(len(trie.words)), key=lambda c: _letters_key(trie.words[c])):
+        row = rows[c]
+        traces = {full}
+        for values in row:
+            traces = {t & m for t in traces for m in _thresholds(values)}
+            traces.discard(0)
+        for t in traces:
+            if t not in family:
+                kept = [j for j in range(trie.n) if t >> j & 1]
+                family[t] = (c, tuple(max(values[j] for j in kept) for values in row))
+        if len(family) == full:
+            break
+    return family
 
 
 def cuts_out_free(
@@ -453,7 +565,7 @@ def cuts_out_free(
     """A translated progression whose trace on the points is exactly the
     subset, or None if no translate achieves it."""
     pts = sorted(set(points), key=word_key)
-    rank = _common_rank(pts)
+    _common_rank(pts)
     if len(pts) > cap:
         raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
     sub = set(subset)
@@ -461,54 +573,39 @@ def cuts_out_free(
         raise DomainError("subset must be contained in the point set")
     if not sub:
         return _empty_trace_spec(pts)
-    want = 0
-    for j, x in enumerate(pts):
-        if x in sub:
-            want |= 1 << j
-    verts, rows = _search_tables(pts)
-    hit = _witness_scan(verts, rows, want, len(pts), rank)
+    want = sum(1 << j for j, x in enumerate(pts) if x in sub)
+    trie = _PrefixTrie(pts)
+    hit = _trace_family(trie).get(want)
     if hit is None:
         return None
-    hi, bounds = hit
-    return FProgressionSpec(bounds, verts[hi])
+    return FProgressionSpec(hit[1], trie.vertex(hit[0]))
 
 
 def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> ShatterReport:
     """Exhaustive shattering check against all translated progressions."""
     pts = sorted(set(points), key=word_key)
-    rank = _common_rank(pts)
+    _common_rank(pts)
     if len(pts) > cap:
         raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
-    verts, rows = _search_tables(pts)
+    trie = _PrefixTrie(pts)
+    family = _trace_family(trie)
+    vertices = {c: trie.vertex(c) for c, _ in family.values()}
     n = len(pts)
-    witnesses = {}
+    witnesses = {frozenset(): _empty_trace_spec(pts)}
     missing = []
-    for want in range(1 << n):
+    for want in range(1, 1 << n):
         sub = frozenset(pts[j] for j in range(n) if want >> j & 1)
-        if want == 0:
-            witnesses[sub] = _empty_trace_spec(pts)
-            continue
-        hit = _witness_scan(verts, rows, want, n, rank)
+        hit = family.get(want)
         if hit is None:
             missing.append(sub)
         else:
-            witnesses[sub] = FProgressionSpec(hit[1], verts[hit[0]])
+            witnesses[sub] = FProgressionSpec(hit[1], vertices[hit[0]])
     return ShatterReport(
         target=frozenset(pts),
         shattered=not missing,
         missing=tuple(missing),
         witnesses=witnesses,
     )
-
-
-def _tripod_search(tree: TreeSlice, pts: set, arm: int):
-    for p in sorted(tree.vertices - pts, key=word_key):
-        if tree.degree(p) != 3:
-            continue
-        parts = branches(tree, p)
-        if len(parts) == 3 and all(len(part & pts) == arm for part in parts):
-            return p, parts
-    return None
 
 
 def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[frozenset, ...]]]:
@@ -522,8 +619,13 @@ def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[froze
     _common_rank(pts)
     if not pts or len(pts) % 3:
         raise DomainError(f"point count {len(pts)} is not a positive multiple of 3")
-    tree = minimal_tree(pts)
-    return _tripod_search(tree, pts, len(pts) // 3)
+    ordered = sorted(pts, key=word_key)
+    trie = _PrefixTrie(ordered)
+    c = trie.tripod_center()
+    if c is None:
+        return None
+    center = trie.vertex(c)
+    return center, branches(minimal_tree(ordered), center)
 
 
 def _decide_shattered(points_sorted: Sequence[FWord]) -> str:
@@ -534,20 +636,13 @@ def _decide_shattered(points_sorted: Sequence[FWord]) -> str:
     connected, so a shattered set consists of leaves of its minimal tree;
     and a shattered set of size 3k admits a tripod vertex.
     """
-    pts = set(points_sorted)
-    rank = points_sorted[0].rank
-    tree = minimal_tree(pts)
-    if frozenset(pts) != leaves(tree):
+    trie = _PrefixTrie(points_sorted)
+    if not trie.leaf_only():
         return "rejected-leaf"
-    if len(pts) == 3 * rank and _tripod_search(tree, pts, rank) is None:
+    if trie.n == 3 * trie.rank and trie.tripod_center() is None:
         return "rejected-tripod"
-    verts = sorted(tree.vertices, key=word_key)
-    rows = [[dist_vector(h, x) for x in points_sorted] for h in verts]
-    n = len(points_sorted)
-    for want in range(1, 1 << n):
-        if _witness_scan(verts, rows, want, n, rank) is None:
-            return "rejected-scan"
-    return "shattered"
+    full = (1 << trie.n) - 1
+    return "shattered" if len(_trace_family(trie)) == full else "rejected-scan"
 
 
 def sample_word(rng: random.Random, rank: int, max_len: int) -> FWord:

@@ -191,6 +191,18 @@ def test_free_witness(capsys):
     assert report["result"]["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "flags", [("--bounds", "1,1", "--subset", "x"), ("--bounds", "a")], ids=["subset", "bounds"]
+)
+def test_free_witness_malformed_integers_exit_2(capsys, flags):
+    code = main(["free", "witness", "--k", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_free_tripod(capsys):
     code, report = run_json(
         capsys, "free", "tripod", "--k", "2", "--points", "1^1,2^1,1^-1"
@@ -270,6 +282,19 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["result"]["value"] == 11
+
+
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+def test_output_into_missing_or_unwritable_directory_exits_2(capsys, tmp_path, parent):
+    (tmp_path / "a-file").write_text("")
+    target = tmp_path / parent / "x.json"
+    code = main(["bounds", "cd", "--d", "2", "--n", "4", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_unknown_subcommand_exits_2():

@@ -3,16 +3,18 @@
 The complete cut-out search is validated against an independent oracle in
 rank 1, where translated progressions are exactly the integer intervals
 [g - N, g + N] and existence of a cutting interval can be decided by a
-direct window scan.
+direct window scan. In ranks 1 to 3 the trie-based trace family is checked
+against a brute-force scan over the reference ``minimal_tree``.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from progvc.errors import DomainError, ResourceLimitError
 from progvc.freegroup import (
+    _decide_shattered,
     DominatingSequence,
     FProgressionSpec,
     FWord,
@@ -532,6 +534,74 @@ def test_tripod_profile_examples():
 
     with pytest.raises(DomainError):
         tripod_profile([a1, a2])
+
+
+def oracle_witnesses(pts):
+    # Brute force over the public reference geometry: for every nonempty
+    # subset, the first minimal-tree vertex in word_key order whose
+    # componentwise-minimal bounds cut out exactly that subset.
+    rank = pts[0].rank
+    verts = sorted(minimal_tree(pts).vertices, key=word_key)
+    rows = {h: {x: dist_vector(h, x) for x in pts} for h in verts}
+    found, missing = {}, []
+    for mask in range(1, 1 << len(pts)):
+        chosen = frozenset(x for j, x in enumerate(pts) if mask >> j & 1)
+        for h in verts:
+            bounds = tuple(max(rows[h][x][i] for x in chosen) for i in range(rank))
+            spec = FProgressionSpec(bounds, h)
+            if progression_trace(spec, pts) == chosen:
+                found[chosen] = str(spec)
+                break
+        else:
+            missing.append(chosen)
+    return found, missing
+
+
+def oracle_tripod(pts):
+    tree = minimal_tree(pts)
+    for p in sorted(tree.vertices - set(pts), key=word_key):
+        if tree.degree(p) == 3:
+            parts = branches(tree, p)
+            if all(len(part & set(pts)) == len(pts) // 3 for part in parts):
+                return p, parts
+    return None
+
+
+def ranked_point_sets():
+    return st.integers(1, 3).flatmap(
+        lambda k: st.sets(fwords(rank=k, max_len=4), min_size=1, max_size=6)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_point_sets())
+@example(frozenset(reference_four_set()))
+@example(frozenset(generator(3, i) for i in (1, 2, 3)))
+@example(frozenset(w2(t) for t in ("1^1", "1^2", "2^1", "2^2", "1^-1", "1^-2")))
+# The point 1^1 has two child subtrees of two points each, but a tripod
+# center must lie outside the points.
+@example(frozenset(w2(t) for t in ("e", "1^1", "1^3", "1^2*2^1", "1^1*2^2", "1^1*2^1*1^1")))
+def test_trace_family_matches_brute_force_oracle(points):
+    pts = sorted(points, key=word_key)
+    found, missing = oracle_witnesses(pts)
+    report = is_shattered_free(pts)
+    assert list(report.missing) == missing
+    assert report.shattered == (not missing)
+    assert {s: str(w) for s, w in report.witnesses.items() if s} == found
+    assert progression_trace(report.witnesses[frozenset()], pts) == frozenset()
+    for mask in range(1, 1 << len(pts)):
+        chosen = frozenset(x for j, x in enumerate(pts) if mask >> j & 1)
+        spec = cuts_out_free(pts, chosen)
+        assert (None if spec is None else str(spec)) == found.get(chosen)
+    if len(pts) % 3 == 0:
+        assert tripod_profile(pts) == oracle_tripod(pts)
+    if leaves(minimal_tree(pts)) != frozenset(pts):
+        verdict = "rejected-leaf"
+    elif len(pts) == 3 * pts[0].rank and oracle_tripod(pts) is None:
+        verdict = "rejected-tripod"
+    else:
+        verdict = "rejected-scan" if missing else "shattered"
+    assert _decide_shattered(pts) == verdict
 
 
 def test_generator_witness_examples():
