@@ -5,6 +5,7 @@ captured stdout. Exit codes: 0 verified/success, 1 failed check, 2 usage
 or resource errors.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,17 @@ P11_CSV = "\n".join(
     f"{a},{b},{c}"
     for a, b, c in sorted(enumerate_progression(1, 1))
 ) + "\n"
+
+# sha256 of the report bytes as the unpruned breadth-first enumeration
+# produced them; the pruned one must reproduce them exactly.
+REPORT_DIGESTS = {
+    "heisenberg verify --nmax 5":
+        "e8a2e50f0a247b46d58bf48036b8e917304b458c43a325d5b18a52efc73c6a02",
+    "heisenberg verify --nmax 5 --inject-fault":
+        "e9ec3670b866a92409ceec0af2c3a571df6c07fb7c062bc9540129257e0513bb",
+    "heisenberg enumerate --n1 3 --n2 2 --format csv":
+        "20d7837be96191204deb9e52934ddbf78787e91760c6779312f6ddb047775648",
+}
 
 
 def run(capsys, *argv):
@@ -61,6 +73,21 @@ def test_heisenberg_verify_fault_injection(capsys):
     code, report = run_json(capsys, "heisenberg", "verify", "--nmax", "1", "--inject-fault")
     assert code == 1
     assert report["result"]["mismatch_count"] == 1
+
+
+def test_heisenberg_verify_over_cap_exits_2(capsys):
+    code = main(["heisenberg", "verify", "--nmax", "7", "--cap", "12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_heisenberg_report_digests(capsys, command):
+    _, out = run(capsys, *command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[command]
 
 
 def test_heisenberg_member(capsys):

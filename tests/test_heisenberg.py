@@ -2,8 +2,12 @@
 
 The membership formula is checked against two independent oracles: 3x3
 unitriangular matrix multiplication for the group law, and breadth-first
-enumeration over letter budgets for the progressions.
+enumeration over letter budgets for the progressions. The pruned
+enumeration is itself checked against the values of every word within the
+budgets.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +34,8 @@ from progvc.heisenberg import (
 
 coords = st.integers(-50, 50)
 points = st.tuples(coords, coords, coords).map(lambda t: HPoint(*t))
+small_coords = st.integers(-6, 6)
+small_points = st.tuples(small_coords, small_coords, small_coords).map(lambda t: HPoint(*t))
 words = st.text(alphabet="AaBb", max_size=16)
 
 # P(1, 1), worked out from the four-case inequalities: one point per
@@ -232,6 +238,22 @@ def test_enumerate_progression_examples():
         enumerate_progression(-1, 0)
 
 
+def test_enumeration_equals_all_words_within_budget():
+    # Values of every word over AaBb with at most 3 letters of each type,
+    # keyed by its (A-type, B-type) letter counts; no search involved.
+    values = {}
+    for length in range(7):
+        for letters in product("AaBb", repeat=length):
+            word = "".join(letters)
+            counts = word_counts(word)
+            if max(counts) <= 3:
+                values.setdefault(counts, set()).add(eval_by_matrices(word))
+    for n1 in range(4):
+        for n2 in range(4):
+            expected = set().union(*(v for (i, j), v in values.items() if i <= n1 and j <= n2))
+            assert enumerate_progression(n1, n2) == expected
+
+
 def box(n1, n2):
     for a in range(-n1, n1 + 1):
         for b in range(-n2, n2 + 1):
@@ -248,6 +270,14 @@ def test_formula_equals_enumeration_small_budgets():
             assert enumerated == from_formula
             # Nothing enumerable falls outside the scanned box.
             assert all(abs(p.c) <= n1 * n2 + 1 for p in enumerated)
+
+
+@given(small_points, st.integers(0, 3), st.integers(0, 3))
+def test_translated_membership_matches_translated_enumeration(g, n1, n2):
+    spec = HProgressionSpec(n1, n2, g)
+    enumerated = enumerate_progression(n1, n2)
+    for p in box(n1, n2):
+        assert membership(spec, h_mul(g, p)) == (p in enumerated)
 
 
 def test_central_convexity():
@@ -307,6 +337,42 @@ def test_verify_cells_counts_and_fault_injection():
     assert {cell["size"] for cell in report["cells"] if not cell["n1"] and not cell["n2"]} == {1}
     faulty = verify_cells(2, inject_fault=True)
     assert faulty["mismatch_count"] == 1
+    with pytest.raises(ResourceLimitError):
+        verify_cells(7, cap=12)
+    faulty = verify_cells(7, cap=14, inject_fault=True)
+    assert faulty["mismatch_count"] == 1
+    flagged = [(c["n1"], c["n2"], c["mismatches"]) for c in faulty["cells"] if c["mismatches"]]
+    assert flagged == [(7, 7, [[0, 0, 0]])]
+
+
+def test_verify_cells_oracle_to_nmax_10():
+    report = verify_cells(10, cap=20)
+    assert report["mismatch_count"] == 0
+    assert len(report["cells"]) == 121
+    assert report["cells"][-1] == {"n1": 10, "n2": 10, "size": 36391, "mismatches": []}
+
+
+def test_verify_cells_sizes_equal_separate_enumerations():
+    for nmax in range(5):
+        for cell in verify_cells(nmax)["cells"]:
+            assert cell["size"] == len(enumerate_progression(cell["n1"], cell["n2"]))
+
+
+def test_verify_cells_flags_wrong_enumerations(monkeypatch):
+    # Negative control: a frontier that also reaches (0, 0, 1), which the
+    # formula rejects, and (0, 0, 5), outside the box, at budget (1, 1).
+    frontier = hg._budget_frontier
+
+    def corrupted(n1, n2):
+        found = frontier(n1, n2)
+        found[(0, 0, 1)] = found[(0, 0, 5)] = [(1, 1)]
+        return found
+
+    monkeypatch.setattr(hg, "_budget_frontier", corrupted)
+    report = verify_cells(1)
+    flagged = [(c["n1"], c["n2"], c["mismatches"]) for c in report["cells"] if c["mismatches"]]
+    assert flagged == [(1, 1, [[0, 0, 1], [0, 0, 5]])]
+    assert report["mismatch_count"] == 2
 
 
 def test_spec_rejects_negative_budgets():
