@@ -528,7 +528,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        partial = "" if exc.partial is None else f" (certified partial: {exc.partial})"
+        print(f"resource limit: {exc}{partial}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -4,13 +4,23 @@ A system is a finite ground sequence of distinct hashable points together
 with a family of subsets. Subsets are stored as integer bitmasks over
 ground indices, so membership tests and trace computations are single
 AND operations regardless of ground size (Python integers grow as needed).
+
+The exact searches (``shatters``, ``vc_dimension_exact``,
+``shatter_function``) share one engine on the transposed family: column i
+is the bitmask of family indices whose member contains ground point i. The
+members with equal trace on a point set form a cell, an int over family
+indices, and appending a point splits each cell X into ``X & col`` and
+``X ^ (X & col)``, keeping the nonempty parts. The number of traces on a
+set is its number of cells, so an s-set is shattered iff it has 2^s cells.
+The VC search extends only shattered sets; the shatter function prunes
+every subtree whose cells, doubled once per remaining point, cannot beat
+the best count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -163,25 +173,55 @@ def cuts_out(sys: SetSystem, target: Iterable[Hashable], sub: Iterable[Hashable]
     return None
 
 
+def _columns(sys: SetSystem) -> list:
+    """Transpose the family: bit k of ``cols[i]`` is set iff member k holds point i."""
+    cols = [0] * len(sys.ground)
+    for k, m in enumerate(sys.masks):
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= 1 << k
+            m ^= low
+    return cols
+
+
+def _refine(cells: list, col: int) -> list:
+    """Split each cell of family indices by membership in ``col``; keep the nonempty parts."""
+    out = []
+    for x in cells:
+        inside = x & col
+        if inside:
+            out.append(inside)
+        if inside != x:
+            out.append(x ^ inside)
+    return out
+
+
 def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARGET_CAP) -> ShatterReport:
-    """Exhaustive shattering check over all subsets of the target."""
+    """Exhaustive shattering check over all subsets of the target.
+
+    The family is partitioned by trace on the target one column at a time;
+    each cell is tagged with its trace, and its lowest family index is the
+    first witness in ``sys.masks`` order.
+    """
     tpoints = frozenset(target)
     tmask = sys.mask_of(tpoints)
     t = bin(tmask).count("1")
     if t > cap:
         raise ResourceLimitError(f"target of size {t} exceeds shatter cap {cap}")
     bits = [i for i in range(len(sys.ground)) if tmask >> i & 1]
-    compress = {1 << b: 1 << j for j, b in enumerate(bits)}
+    cols = _columns(sys)
 
-    first_witness: dict[int, int] = {}
-    for m in sys.masks:
-        trace = m & tmask
-        small = 0
-        for b in bits:
-            if trace >> b & 1:
-                small |= compress[1 << b]
-        if small not in first_witness:
-            first_witness[small] = m
+    cells = [(0, (1 << len(sys.masks)) - 1)] if sys.masks else []
+    for j, b in enumerate(bits):
+        split = []
+        for small, x in cells:
+            inside = x & cols[b]
+            if inside:
+                split.append((small | 1 << j, inside))
+            if inside != x:
+                split.append((small, x ^ inside))
+        cells = split
+    first_witness = {small: sys.masks[(x & -x).bit_length() - 1] for small, x in cells}
 
     witnesses = {}
     missing = []
@@ -199,27 +239,6 @@ def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARG
     )
 
 
-def _has_shattered_subset(sys: SetSystem, size: int, work_cap: int) -> bool:
-    n = len(sys.ground)
-    if size > n or len(sys.masks) < 2**size:
-        return False
-    if math.comb(n, size) > work_cap:
-        raise ResourceLimitError(
-            f"{math.comb(n, size)} candidate {size}-subsets exceed work cap {work_cap}"
-        )
-    want = 2**size
-    for bits in combinations(range(n), size):
-        tmask = 0
-        for b in bits:
-            tmask |= 1 << b
-        seen = set()
-        for m in sys.masks:
-            seen.add(m & tmask)
-            if len(seen) == want:
-                return True
-    return False
-
-
 def vc_dimension_exact(
     sys: SetSystem, cap: int = DEFAULT_TARGET_CAP, work_cap: int = DEFAULT_WORK_CAP
 ) -> Optional[int]:
@@ -228,20 +247,59 @@ def vc_dimension_exact(
     Returns None for an empty family: no set is shattered, not even the
     empty one, so the dimension is undefined there rather than 0. With a
     nonempty family the empty set is always shattered and the result is a
-    certified exact value, found by growing the size until some level has
-    no shattered subset (subsets of shattered sets are shattered, so the
-    first gap is conclusive).
+    certified exact value. One depth-first walk of the combination tree
+    carries, per node, the partition of the family by trace on the node's
+    points; the node is shattered iff appending its last point split every
+    cell in two. Only shattered nodes are extended, since subsets of
+    shattered sets are shattered, so every shattered set is reached and the
+    deepest one is the dimension. Subtrees that cannot go deeper than the
+    best found so far are skipped.
+
+    ``cap`` bounds the subset size searched; a family that could still
+    shatter a larger set raises ResourceLimitError with the certified lower
+    bound as ``partial``. ``work_cap`` bounds C(n, s), checked for size s as
+    soon as some (s-1)-set is found shattered and |F| >= 2^s.
     """
     if not sys.masks:
         return None
+    n = len(sys.ground)
+    size = len(sys.masks)
+    top = min(cap, n)
+    # The sizes the search may certify: at most top, and 2^s <= |F|.
+    deepest = min(top, size.bit_length() - 1)
+    cols = _columns(sys)
+
+    def check_work(s):
+        # Size s becomes a candidate once some (s-1)-set is known shattered.
+        if s <= deepest and math.comb(n, s) > work_cap:
+            raise ResourceLimitError(
+                f"{math.comb(n, s)} candidate {s}-subsets exceed work cap {work_cap}"
+            )
+
+    check_work(1)
     best = 0
-    top = min(cap, len(sys.ground))
-    for size in range(1, top + 1):
-        if _has_shattered_subset(sys, size, work_cap):
-            best = size
+    # Stack of shattered (cells, depth, next point); a popped node has
+    # depth <= best, so the bound also ends the scan at the last point.
+    stack = [([(1 << size) - 1], 0, 0)]
+    while stack:
+        cells, d, j = stack.pop()
+        if min(deepest, d + n - j) <= best:
+            continue
+        stack.append((cells, d, j + 1))
+        col = cols[j]
+        # _refine inlined, stopping at the first cell the point leaves whole.
+        split = []
+        for x in cells:
+            inside = x & col
+            if not inside or inside == x:
+                break
+            split += (inside, x ^ inside)
         else:
-            return best
-    if top < len(sys.ground) and len(sys.masks) >= 2 ** (top + 1):
+            if d + 1 > best:
+                best = d + 1
+                check_work(best + 1)
+            stack.append((split, d + 1, j + 1))
+    if best >= top and top < n and size >= 2 ** (top + 1):
         raise ResourceLimitError(
             f"dimension at least {best} but search capped at subset size {top}",
             partial=best,
@@ -250,23 +308,39 @@ def vc_dimension_exact(
 
 
 def shatter_function(sys: SetSystem, n: int, work_cap: int = DEFAULT_WORK_CAP) -> int:
-    """Maximum number of distinct traces over any n-point subset of the ground."""
+    """Maximum number of distinct traces over any n-point subset of the ground.
+
+    A depth-first walk of the n-subsets refines the partition of the family
+    by trace one column at a time; a leaf's trace count is its number of
+    cells. Each appended point at most doubles the cells, so a node with c
+    cells at depth d is skipped once min(c * 2^(n-d), |F|) cannot beat the
+    best count, and the walk stops at min(2^n, |F|).
+    """
     g = len(sys.ground)
     if not 0 <= n <= g:
         raise DomainError(f"shatter function needs 0 <= n <= {g}, got {n}")
     if math.comb(g, n) > work_cap:
         raise ResourceLimitError(f"{math.comb(g, n)} candidate subsets exceed work cap {work_cap}")
-    limit = min(2**n, len(sys.masks))
+    size = len(sys.masks)
+    if n == 0 or size == 0:
+        return min(size, 1)
+    cols = _columns(sys)
     best = 0
-    for bits in combinations(range(g), n):
-        tmask = 0
-        for b in bits:
-            tmask |= 1 << b
-        count = len({m & tmask for m in sys.masks})
-        if count > best:
-            best = count
-            if best == limit:
-                break
+    # Stack of (cells, depth, next point), one entry per depth, so n is not
+    # bounded by the recursion limit; a child is pushed after its parent's
+    # next sibling, so the walk stays depth-first.
+    stack = [([(1 << size) - 1], 0, 0)]
+    while stack:
+        cells, d, j = stack.pop()
+        if j > g - n + d or min(len(cells) << (n - d), size) <= best:
+            continue
+        stack.append((cells, d, j + 1))
+        col = cols[j]
+        if d + 1 < n:
+            stack.append((_refine(cells, col), d + 1, j + 1))
+        else:
+            # A leaf: count the cells col splits in two instead of building them.
+            best = max(best, len(cells) + sum(1 for x in cells if 0 != x & col != x))
     return best
 
 

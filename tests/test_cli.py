@@ -7,6 +7,7 @@ or resource errors.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -27,6 +28,23 @@ REPORT_DIGESTS = {
         "e9ec3670b866a92409ceec0af2c3a571df6c07fb7c062bc9540129257e0513bb",
     "heisenberg enumerate --n1 3 --n2 2 --format csv":
         "20d7837be96191204deb9e52934ddbf78787e91760c6779312f6ddb047775648",
+}
+
+
+# sha256 of json.dumps(report["result"]) as the level-by-level subset scans
+# produced it; "intervals" is the [-20, 20] interval trace system and
+# "random" 200 distinct subsets of 16 points drawn with seed 1.
+SETSYSTEM_RESULT_DIGESTS = {
+    "intervals vc":
+        "65b065b48d1e847d65bc6a680f261d12878ff20abd7a99c750b1b44620d66951",
+    "intervals pi --n 3":
+        "b176fec1ece41ff6cd6296d5c5ecc55026fe9c951e689ebd4122ca3bc64cf58a",
+    "intervals shatter --target 0,5,10":
+        "0d48e500cd6fdd8e864ad960933277bfff771c7e81cf58941f7703a43d5a4057",
+    "random vc":
+        "e0470013e2d161ccc4977180e92285d6e9fc974a19efa684e60973726d955a46",
+    "random pi --n 7":
+        "e0004dcb91120b27fe363a4858c367153a6347f92c3d76907018856fde0235bf",
 }
 
 
@@ -268,6 +286,54 @@ def test_setsystem_vc_undefined_for_empty_family(capsys, tmp_path):
     assert code == 0
     assert report["result"]["vc"] is None
     assert report["result"]["verdict"] == "undefined"
+
+
+def interval_trace_system(lo, hi):
+    # Traces on [lo, hi] of every translate of [-r, r]: every odd-length
+    # interval, every prefix and suffix of the window, and the empty set.
+    n = hi - lo + 1
+    spans = set()
+    for g in range(lo - n, hi + n + 1):
+        for r in range(2 * n + 1):
+            a, b = max(g - r, lo), min(g + r, hi)
+            if a <= b:
+                spans.add((a - lo, b - lo))
+    family = [[]] + [list(range(a, b + 1)) for a, b in sorted(spans)]
+    return {"ground": list(range(lo, hi + 1)), "family": family}
+
+
+def random_system(seed, ground_size, members):
+    rng = random.Random(seed)
+    masks = set()
+    while len(masks) < members:
+        masks.add(rng.getrandbits(ground_size))
+    family = [[i for i in range(ground_size) if m >> i & 1] for m in sorted(masks)]
+    return {"ground": list(range(ground_size)), "family": family}
+
+
+@pytest.mark.parametrize("command", sorted(SETSYSTEM_RESULT_DIGESTS))
+def test_setsystem_result_digests(capsys, tmp_path, command):
+    name, sub, *rest = command.split()
+    blob = interval_trace_system(-20, 20) if name == "intervals" else random_system(1, 16, 200)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(blob))
+    code, report = run_json(capsys, "setsystem", sub, "--file", str(path), *rest)
+    assert code == 0
+    digest = hashlib.sha256(json.dumps(report["result"]).encode()).hexdigest()
+    assert digest == SETSYSTEM_RESULT_DIGESTS[command]
+
+
+def test_setsystem_vc_over_cap_names_certified_partial(capsys, tmp_path):
+    path = tmp_path / "powerset5.json"
+    family = [[i for i in range(5) if m >> i & 1] for m in range(32)]
+    path.write_text(json.dumps({"ground": list("abcde"), "family": family}))
+    code = main(["setsystem", "vc", "--file", str(path), "--cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+    assert captured.err.rstrip().endswith("(certified partial: 2)")
 
 
 def test_setsystem_missing_file(capsys):

@@ -1,11 +1,17 @@
 """Tests for finite set systems, shattering, and exact VC dimension."""
 
+import math
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from progvc import setsystem
 from progvc.bounds import capital_c
 from progvc.errors import DomainError, ResourceLimitError
 from progvc.setsystem import (
+    DEFAULT_TARGET_CAP,
+    DEFAULT_WORK_CAP,
     SetSystem,
     complement_system,
     cuts_out,
@@ -125,6 +131,15 @@ def test_vc_dimension_cap_carries_partial_bound():
     assert err.value.partial == 2
 
 
+def test_vc_work_cap_counts_only_sizes_the_family_can_shatter():
+    # Four members shatter at most 2 points: C(8, 2) = 28 candidates are
+    # within a cap of 30, and C(8, 3) = 56 is never needed.
+    sys_ = SetSystem.from_masks(range(8), range(4))
+    assert vc_dimension_exact(sys_, work_cap=30) == 2
+    with pytest.raises(ResourceLimitError, match="28 candidate 2-subsets"):
+        vc_dimension_exact(sys_, work_cap=27)
+
+
 def test_shatter_function_examples():
     sys_ = cosets_z6()
     assert shatter_function(sys_, 0) == 1
@@ -134,6 +149,17 @@ def test_shatter_function_examples():
     assert shatter_function(powerset_3(), 3) == 8
     with pytest.raises(DomainError):
         shatter_function(sys_, 7)
+
+
+def test_shatter_function_stops_at_first_full_count(monkeypatch):
+    # On a power set the first n-subset already has min(2^n, |F|) traces,
+    # so the walk refines once per inner level and then stops.
+    calls = []
+    refine = setsystem._refine
+    monkeypatch.setattr(setsystem, "_refine", lambda cells, col: calls.append(col) or refine(cells, col))
+    sys_ = SetSystem.from_masks(range(6), range(64))
+    assert shatter_function(sys_, 4) == 16
+    assert len(calls) == 3
 
 
 def test_complement_of_cosets():
@@ -255,3 +281,111 @@ def _powerset(points):
     points = sorted(points, key=repr)
     for mask in range(1 << len(points)):
         yield [points[i] for i in range(len(points)) if mask >> i & 1]
+
+
+# ------------------------------------------------- brute-force level scans
+#
+# The original searches: every candidate subset of a level is tested by
+# scanning the whole family. They stay here as the reference the
+# column-partition walks must match, exceptions included.
+
+
+def level_has_shattered_subset(sys_, size, work_cap):
+    n = len(sys_.ground)
+    if size > n or len(sys_.masks) < 2**size:
+        return False
+    if math.comb(n, size) > work_cap:
+        raise ResourceLimitError(
+            f"{math.comb(n, size)} candidate {size}-subsets exceed work cap {work_cap}"
+        )
+    for bits in combinations(range(n), size):
+        tmask = sum(1 << b for b in bits)
+        if len({m & tmask for m in sys_.masks}) == 2**size:
+            return True
+    return False
+
+
+def level_scan_vc(sys_, cap=DEFAULT_TARGET_CAP, work_cap=DEFAULT_WORK_CAP):
+    if not sys_.masks:
+        return None
+    best = 0
+    top = min(cap, len(sys_.ground))
+    for size in range(1, top + 1):
+        if level_has_shattered_subset(sys_, size, work_cap):
+            best = size
+        else:
+            return best
+    if top < len(sys_.ground) and len(sys_.masks) >= 2 ** (top + 1):
+        raise ResourceLimitError(
+            f"dimension at least {best} but search capped at subset size {top}",
+            partial=best,
+        )
+    return best
+
+
+def level_scan_pi(sys_, n, work_cap=DEFAULT_WORK_CAP):
+    g = len(sys_.ground)
+    if not 0 <= n <= g:
+        raise DomainError(f"shatter function needs 0 <= n <= {g}, got {n}")
+    if math.comb(g, n) > work_cap:
+        raise ResourceLimitError(f"{math.comb(g, n)} candidate subsets exceed work cap {work_cap}")
+    return max(
+        len({m & sum(1 << b for b in bits) for m in sys_.masks})
+        for bits in combinations(range(g), n)
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return ("value", fn(*args, **kwargs))
+    except (DomainError, ResourceLimitError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "partial", None))
+
+
+@st.composite
+def rich_systems(draw):
+    # Random members plus, half the time, every subset of one drawn set, so
+    # dimensions up to the ground size occur and the caps are reached.
+    n = draw(st.integers(0, 8))
+    fam = draw(st.lists(st.integers(0, 2**n - 1), max_size=40))
+    if draw(st.booleans()):
+        base = draw(st.integers(0, 2**n - 1))
+        fam += [m for m in range(2**n) if m & ~base == 0]
+    return SetSystem.from_masks(range(n), fam)
+
+
+@given(rich_systems(), st.integers(0, 9), st.one_of(st.integers(1, 60), st.just(10**9)))
+def test_vc_and_pi_match_level_scans(sys_, cap, work_cap):
+    assert outcome(vc_dimension_exact, sys_, cap=cap, work_cap=work_cap) == outcome(
+        level_scan_vc, sys_, cap=cap, work_cap=work_cap
+    )
+    for n in range(len(sys_.ground) + 1):
+        assert outcome(shatter_function, sys_, n, work_cap=work_cap) == outcome(
+            level_scan_pi, sys_, n, work_cap=work_cap
+        )
+
+
+@given(rich_systems(), st.data())
+def test_shatters_matches_first_witness_scan(sys_, data):
+    g = len(sys_.ground)
+    target = data.draw(st.sets(st.sampled_from(range(g)), max_size=g) if g else st.just(set()))
+    points = frozenset(sys_.ground[i] for i in target)
+    first = {}
+    for member in sys_.members():
+        first.setdefault(member & points, member)
+    report = shatters(sys_, points)
+    everything = {frozenset(s) for s in _powerset(points)}
+    assert report.witnesses == first
+    assert set(report.missing) == everything - set(first)
+
+
+@given(rich_systems())
+def test_pajor_shattered_subsets_outnumber_members(sys_):
+    sizes = [
+        len(points)
+        for points in map(frozenset, _powerset(sys_.ground))
+        if shatters(sys_, points).shattered
+    ]
+    # Pajor: a family shatters at least as many sets as it has members.
+    assert len(sizes) >= len(sys_)
+    assert max(sizes, default=None) == vc_dimension_exact(sys_)
