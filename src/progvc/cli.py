@@ -13,6 +13,7 @@ count comes from the PROGVC_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -372,7 +373,11 @@ def cmd_setsystem_pi(args) -> int:
 # --------------------------------------------------------------------- wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace and leaves
+    # the parser unchanged, and the defaults here depend on nothing that
+    # varies between calls (PROGVC_THREADS is read in main).
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the report to this path instead of stdout")
     common.add_argument(
@@ -381,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("PROGVC_THREADS", "1")),
-        help="worker cap for parallelizable searches",
+        help="worker cap for parallelizable searches (default: PROGVC_THREADS, else 1)",
     )
     common.add_argument("--config", help="JSON file of default flag values (flags win)")
 
@@ -515,12 +519,21 @@ def _apply_config(args, argv: Sequence[str]) -> None:
             setattr(args, dest, value)
 
 
+def _env_threads() -> int:
+    raw = os.environ.get("PROGVC_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"PROGVC_THREADS must be an integer, got {raw!r}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _apply_config(args, argv)
+        if args.threads is None:
+            args.threads = _env_threads()
         if args.threads < 1:
             raise DomainError("--threads must be at least 1")
         return args.func(args)

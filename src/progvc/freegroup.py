@@ -37,6 +37,9 @@ from .errors import DomainError, ResourceLimitError
 from .setsystem import ShatterReport
 
 DEFAULT_SET_CAP = 14
+# Letters a word text may expand to before reduction, so that an exponent
+# like 1^999999999 is refused instead of allocated.
+MAX_WORD_LEN = 10_000
 
 
 @dataclass(frozen=True)
@@ -135,10 +138,15 @@ def parse_word(rank: int, text: str) -> FWord:
         m = _TOKEN.match(token.strip())
         if not m:
             raise DomainError(f"bad word token {token!r}; expected forms like '2^5' or '1^-3'")
-        i = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            i = int(m.group(1))
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError as exc:  # more digits than int() converts
+            raise DomainError(f"number too long in word token of {len(token)} characters") from exc
         if not 1 <= i <= rank:
             raise DomainError(f"generator index {i} out of range 1..{rank}")
+        if len(letters) + abs(exp) > MAX_WORD_LEN:
+            raise DomainError(f"word {text[:40]!r} expands past {MAX_WORD_LEN} letters")
         letters.extend([i if exp > 0 else -i] * abs(exp))
     return FWord(rank, tuple(letters))
 
@@ -548,7 +556,8 @@ def _trace_family(trie: _PrefixTrie) -> dict[int, tuple[int, tuple[int, ...]]]:
         row = rows[c]
         traces = {full}
         for values in row:
-            traces = {t & m for t in traces for m in _thresholds(values)}
+            masks = _thresholds(values)
+            traces = {t & m for t in traces for m in masks}
             traces.discard(0)
         for t in traces:
             if t not in family:

@@ -27,7 +27,7 @@ _ALPHABET = set("AaBb")
 _A_TYPE = set("Aa")
 _B_TYPE = set("Bb")
 
-DEFAULT_ENUM_CAP = 12
+DEFAULT_ENUM_CAP = 20
 
 
 class HPoint(NamedTuple):

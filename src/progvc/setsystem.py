@@ -55,18 +55,33 @@ class ShatterReport:
         return "shattered" if self.shattered else "not-shattered"
 
     def to_json(self, witness_json=None) -> dict:
+        """Subsets as sorted ``str`` lists, listed in ``_canonical_key`` order.
+
+        Every subset is drawn from the target, so ``str`` and ``repr`` run
+        once per target point and each subset is rendered from those two
+        lookups. The listing order stays keyed on ``repr``, not ``str``:
+        the two orders differ for generic labels (``"a!"`` sorts before
+        ``"a"`` by ``repr``, since ``!`` is below the closing quote), and
+        reports must keep their bytes.
+        """
+        text = {p: str(p) for p in self.target}
+        rep = {p: repr(p) for p in self.target}
+
         def enc(subset):
-            return sorted(map(str, subset))
+            return sorted([text[p] for p in subset])
+
+        def key(subset):
+            return (len(subset), sorted([rep[p] for p in subset]))
 
         if witness_json is None:
             witness_json = lambda w: sorted(map(str, w))
         return {
             "target": enc(self.target),
             "verdict": self.verdict,
-            "missing": [enc(m) for m in sorted(self.missing, key=_canonical_key)],
+            "missing": [enc(m) for m in sorted(self.missing, key=key)],
             "witnesses": [
                 {"subset": enc(s), "witness": witness_json(w)}
-                for s, w in sorted(self.witnesses.items(), key=lambda kv: _canonical_key(kv[0]))
+                for s, w in sorted(self.witnesses.items(), key=lambda kv: key(kv[0]))
             ],
         }
 

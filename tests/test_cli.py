@@ -12,6 +12,7 @@ import random
 import pytest
 
 from progvc.cli import main
+from progvc.freegroup import MAX_WORD_LEN
 from progvc.heisenberg import enumerate_progression
 
 P11_CSV = "\n".join(
@@ -45,6 +46,43 @@ SETSYSTEM_RESULT_DIGESTS = {
         "e0470013e2d161ccc4977180e92285d6e9fc974a19efa684e60973726d955a46",
     "random pi --n 7":
         "e0004dcb91120b27fe363a4858c367153a6347f92c3d76907018856fde0235bf",
+}
+
+
+# Leaf-only (prefix-antichain) sets: no point's word is a prefix of another,
+# so the whole 2^n witness table is rendered. sha256 of the report bytes as
+# the report renderer produced them when it re-formatted every word per
+# subset; rendering from per-point lookups must reproduce them exactly.
+LEAF_ONLY_SETS = {
+    "rank-2 8-point": (
+        2,
+        "2^-1*1^-1*2^-1*1^-3,2^-1*1^-1*2^-1*1^1*2^-2*1^1,1^-1*2^-1,1^-1*2^1,"
+        "1^1*2^-1*1^2,2^1*1^1*2^-1,2^1*1^2,2^2*1^2*2^2*1^1",
+    ),
+    "rank-2 9-point": (
+        2,
+        "2^-2*1^-1,2^-1*1^1*2^-1*1^1*2^-2,1^-1*2^-1*1^1*2^1,1^-2,1^-1*2^1*1^2*2^-1*1^2,"
+        "1^1*2^-1*1^-1*2^1*1^-1,1^2*2^2,2^1*1^-1,2^4*1^-1",
+    ),
+    "rank-3 9-point": (
+        3,
+        "3^-2*1^2*3^3*1^-1,2^-1*1^-1*2^-1*1^-1*3^1,2^-1*3^1*1^-1,1^-3*3^1,"
+        "1^1*2^-1*3^-1*2^-1,1^1*2^1*1^1,2^2*3^2,2^1*3^1,3^2*2^-1",
+    ),
+}
+FREE_SHATTER_DIGESTS = {
+    ("rank-2 8-point", "json"):
+        "c54123d92616a3a9dde6f5ba9c1c54a74a15908e2f18485dfa458ebddca50c1b",
+    ("rank-2 8-point", "text"):
+        "1068e5decb4e147e477758ced51ee41496d4f8bac89882b324112ac99b263a49",
+    ("rank-2 9-point", "json"):
+        "fc2d696084a81cb2fa34820581aa0aadba79fce66d16c3ecfe8f497b93bd3897",
+    ("rank-2 9-point", "text"):
+        "0def26e5d2c1305a29437859b2e1645e8c4aa977ad7946f5aae2e015ba27d2e7",
+    ("rank-3 9-point", "json"):
+        "c2388a9f294aa0455aa0d19dafdeda7999ad1df69803cca3a26e5596af7a11a8",
+    ("rank-3 9-point", "text"):
+        "c81c5dd28404d4ae26f46f9e42c9eb37e33d72a00c05c517f515dc7509ee130d",
 }
 
 
@@ -91,6 +129,13 @@ def test_heisenberg_verify_fault_injection(capsys):
     code, report = run_json(capsys, "heisenberg", "verify", "--nmax", "1", "--inject-fault")
     assert code == 1
     assert report["result"]["mismatch_count"] == 1
+
+
+def test_heisenberg_verify_benchmark_size_fits_default_cap(capsys):
+    code, report = run_json(capsys, "heisenberg", "verify", "--nmax", "7")
+    assert code == 0
+    assert len(report["result"]["cells"]) == 64
+    assert report["result"]["mismatch_count"] == 0
 
 
 def test_heisenberg_verify_over_cap_exits_2(capsys):
@@ -197,6 +242,33 @@ def test_free_shatter_rejects_bad_token(capsys):
     code = main(["free", "shatter", "--k", "1", "--points", "1^0,zap"])
     assert code == 2
     assert "zap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, fmt", sorted(FREE_SHATTER_DIGESTS))
+def test_free_shatter_report_digests(capsys, name, fmt):
+    rank, points = LEAF_ONLY_SETS[name]
+    code, out = run(capsys, "free", "shatter", "--k", str(rank), "--points", points, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE_SHATTER_DIGESTS[name, fmt]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        f"1^{MAX_WORD_LEN + 1}",
+        f"1^{MAX_WORD_LEN // 2}*2^-{MAX_WORD_LEN // 2 + 1}",
+        "1^99999999999999999999",
+        "1^" + "9" * 5000,
+    ],
+    ids=["just-over-cap", "over-cap-across-tokens", "20-digit-exponent", "5000-digit-exponent"],
+)
+def test_free_shatter_word_over_length_cap_exits_2(capsys, points):
+    code = main(["free", "shatter", "--k", "2", "--points", points])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_free_example_f2_reports_failure(capsys):
@@ -359,6 +431,34 @@ def test_threads_env_default(capsys, monkeypatch):
     code, report = run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")
     assert code == 0
     assert report["params"]["threads"] == 3
+
+
+def test_threads_env_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PROGVC_THREADS", "x")
+    code = main(["bounds", "cd", "--d", "1", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err == "error: PROGVC_THREADS must be an integer, got 'x'\n"
+
+
+def test_consecutive_calls_share_no_state(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "text", "threads": 4}))
+    code, out = run(capsys, "bounds", "cd", "--d", "2", "--n", "4", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("schema: progvc/1") and "  threads: 4\n" in out
+    code, report = run_json(capsys, "bounds", "cd", "--d", "2", "--n", "4")
+    assert code == 0
+    assert report["params"]["threads"] == 1
+
+    monkeypatch.setenv("PROGVC_THREADS", "3")
+    assert run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")[1]["params"]["threads"] == 3
+    monkeypatch.setenv("PROGVC_THREADS", "5")
+    assert run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")[1]["params"]["threads"] == 5
+    monkeypatch.delenv("PROGVC_THREADS")
+    assert run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")[1]["params"]["threads"] == 1
 
 
 def test_threads_must_be_positive(capsys):

@@ -18,6 +18,7 @@ from progvc.freegroup import (
     DominatingSequence,
     FProgressionSpec,
     FWord,
+    MAX_WORD_LEN,
     branches,
     branches_star,
     cuts_out_free,
@@ -107,6 +108,14 @@ def test_parse_and_format():
     for bad in ("0^2", "3^1", "1^", "x", ""):
         with pytest.raises(DomainError):
             w2(bad)
+
+
+def test_parse_word_length_cap():
+    assert len(w2(f"1^{MAX_WORD_LEN}")) == MAX_WORD_LEN
+    assert w2(f"1^{MAX_WORD_LEN // 2}*1^-{MAX_WORD_LEN // 2}") == identity(2)
+    for over in (f"1^-{MAX_WORD_LEN + 1}", f"2^{MAX_WORD_LEN}*1^1", "1^99999999999999999999"):
+        with pytest.raises(DomainError, match="expands past"):
+            w2(over)
 
 
 @given(fwords())

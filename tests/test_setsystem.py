@@ -4,7 +4,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from progvc import setsystem
 from progvc.bounds import capital_c
@@ -13,6 +13,7 @@ from progvc.setsystem import (
     DEFAULT_TARGET_CAP,
     DEFAULT_WORK_CAP,
     SetSystem,
+    ShatterReport,
     complement_system,
     cuts_out,
     intersection_system,
@@ -389,3 +390,69 @@ def test_pajor_shattered_subsets_outnumber_members(sys_):
     # Pajor: a family shatters at least as many sets as it has members.
     assert len(sizes) >= len(sys_)
     assert max(sizes, default=None) == vc_dimension_exact(sys_)
+
+
+# ------------------------------------------------ report rendering oracle
+#
+# The renderer that formats every point of every subset with str and repr.
+# ShatterReport.to_json renders from one str and one repr per target point
+# and must give the same dict, order included.
+
+
+def reference_to_json(report, witness_json=None):
+    def enc(subset):
+        return sorted(map(str, subset))
+
+    def key(subset):
+        return (len(subset), sorted(map(repr, subset)))
+
+    if witness_json is None:
+        witness_json = lambda w: sorted(map(str, w))
+    return {
+        "target": enc(report.target),
+        "verdict": report.verdict,
+        "missing": [enc(m) for m in sorted(report.missing, key=key)],
+        "witnesses": [
+            {"subset": enc(s), "witness": witness_json(w)}
+            for s, w in sorted(report.witnesses.items(), key=lambda kv: key(kv[0]))
+        ],
+    }
+
+
+# Labels whose str order and repr order disagree: "!" and " " sort below
+# the closing quote of a repr, so "a!" < "a" by repr but "a" < "a!" by str.
+# Integers and digit strings share a str but not a repr.
+LABELS = st.one_of(
+    st.sampled_from(["a", "a!", "a b", "a'", 'a"', "b", "", "1"]),
+    st.text(alphabet="ab !'\"#&", max_size=3),
+    st.integers(-3, 12),
+)
+
+
+@st.composite
+def shatter_reports(draw):
+    target = draw(st.frozensets(LABELS, max_size=6))
+    points = sorted(target, key=repr)
+    subsets = st.builds(
+        lambda mask: frozenset(p for i, p in enumerate(points) if mask >> i & 1),
+        st.integers(0, 2 ** len(points) - 1),
+    )
+    missing = draw(st.lists(subsets, unique=True, max_size=12))
+    witnesses = draw(st.dictionaries(subsets, st.frozensets(LABELS, max_size=3), max_size=12))
+    return ShatterReport(target, not missing, tuple(missing), witnesses)
+
+
+@given(shatter_reports(), st.booleans())
+@example(
+    ShatterReport(
+        frozenset({"a", "a!", "a b"}),
+        True,
+        witnesses={
+            frozenset(s): frozenset(s) for s in _powerset({"a", "a!", "a b"})
+        },
+    ),
+    False,
+)
+def test_shatter_report_to_json_matches_reference(report, text_witness):
+    witness_json = str if text_witness else None
+    assert report.to_json(witness_json) == reference_to_json(report, witness_json)
