@@ -5,9 +5,10 @@ version and echoed parameters, so identical inputs produce byte-identical
 output. Exit codes: 0 for success or a verified check, 1 for a check that
 ran but did not verify, 2 for usage, domain, or resource errors.
 
-A JSON config file may supply defaults for any long flag (keys without the
-leading dashes); flags given on the command line win. The default thread
-count comes from the PROGVC_THREADS environment variable.
+A JSON config file may supply defaults for any long flag of the command
+(keys without the leading dashes); each value must be one the flag accepts,
+and flags given on the command line win. The default thread count comes
+from the PROGVC_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -131,6 +132,11 @@ def cmd_heisenberg_search(args) -> int:
     if args.translate_window is None:
         raise DomainError("--translate-window is required for the experimental search")
     window = args.translate_window
+    if args.size < 0 or args.point_window < 0:
+        raise DomainError("--size and --point-window must be nonnegative")
+    box = (2 * args.point_window + 1) ** 3
+    if args.size > box:
+        raise DomainError(f"--size {args.size} exceeds the {box} points of the point window")
     rng = random.Random(args.seed)
     specs = [
         heisenberg.HProgressionSpec(n1, n2, heisenberg.HPoint(ga, gb, gc))
@@ -501,6 +507,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _leaf_options(args) -> dict:
+    """The chosen subcommand's long options, by dest; argparse has no public
+    lookup of a subparser's actions."""
+    parser = _build_parser()
+    for name in (args.group, args.cmd):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return {
+        a.dest: a
+        for a in parser._actions
+        if a.default is not argparse.SUPPRESS and any(o.startswith("--") for o in a.option_strings)
+    }
+
+
+def _config_value(key: str, action: argparse.Action, value):
+    """A config value checked as the parser checks the flag's text."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise DomainError(f"config {key!r} must be true or false, got {value!r}")
+        return value
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise DomainError(f"config {key!r} must be a string or an integer, got {value!r}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        name = action.type.__name__
+        raise DomainError(f"config {key!r}: invalid {name} value {value!r}") from None
+    if action.choices and value not in action.choices:
+        allowed = ", ".join(action.choices)
+        raise DomainError(f"config {key!r} must be one of {allowed}, got {value!r}")
+    return value
+
+
 def _apply_config(args, argv: Sequence[str]) -> None:
     if not args.config:
         return
@@ -511,12 +550,15 @@ def _apply_config(args, argv: Sequence[str]) -> None:
         raise DomainError(f"cannot load config {args.config}: {exc}") from exc
     if not isinstance(defaults, dict):
         raise DomainError("config must be a JSON object of flag defaults")
+    options = _leaf_options(args)
     for key, value in defaults.items():
-        dest = key.replace("-", "_")
-        flag = f"--{key}"
-        explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not explicit and hasattr(args, dest):
-            setattr(args, dest, value)
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        value = _config_value(key, action, value)
+        flags = action.option_strings
+        if not any(tok == f or tok.startswith(f + "=") for tok in argv for f in flags):
+            setattr(args, action.dest, value)
 
 
 def _env_threads() -> int:

@@ -14,19 +14,28 @@ unique, the d_i add along paths, and translated progressions are connected
 subtrees.
 
 Shattering questions for these translates are decided exactly, on plain
-letter tuples. With b the word_key-least point, the minimal tree of X is
-the prefix trie of the reduced words b^-1 x. Any cutting translate slides
-to an entry vertex h of that tree without changing its trace, and at h
-only the componentwise-minimal bounds matter. So the traces cut out at h
+tuples of letter codes: the code of a letter is its rank in word_key order
+(a_1, a_1^-1, a_2, a_2^-1, ... are 0, 1, 2, 3, ...), so the inverse of
+code c is c ^ 1, its generator is a_(c >> 1 + 1), and word_key order on
+reduced words is (length, tuple) order on their codes. With b the
+word_key-least point, the minimal tree of X is the prefix trie of the
+reduced words b^-1 x. Any cutting translate slides to an entry vertex h
+of that tree without changing its trace, and at h only the
+componentwise-minimal bounds matter. So the traces cut out at h
 are the intersections of one threshold set {x : d_i(h, x) <= t} per
 coordinate i. Visiting the vertices in word_key order and keeping, for
 each trace, the first vertex and its minimal bounds gives the trace family
 that every shattering question here reads. The public ``minimal_tree``,
 ``leaves`` and ``branches`` are the slow reference it is tested against.
+
+``free search`` draws its sets as code tuples, rejects non-leaf sets
+before building a trie, and makes ``FWord`` objects only for the sets it
+lists.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +49,15 @@ DEFAULT_SET_CAP = 14
 # Letters a word text may expand to before reduction, so that an exponent
 # like 1^999999999 is refused instead of allocated.
 MAX_WORD_LEN = 10_000
+# Largest rank: several paths allocate per generator.
+MAX_RANK = 10_000
+
+
+def _check_rank(rank: int) -> None:
+    if rank < 1:
+        raise DomainError(f"rank must be at least 1, got {rank}")
+    if rank > MAX_RANK:
+        raise DomainError(f"rank {rank} exceeds the cap of {MAX_RANK}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +72,7 @@ class FWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise DomainError(f"rank must be at least 1, got {self.rank}")
+        _check_rank(self.rank)
         stack: list[int] = []
         for x in self.letters:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
@@ -115,13 +132,9 @@ def _letter_key(x: int) -> tuple[int, int]:
     return (abs(x), 0 if x > 0 else 1)
 
 
-def _letters_key(letters: tuple[int, ...]) -> tuple:
-    return (len(letters), tuple(_letter_key(x) for x in letters))
-
-
 def word_key(u: FWord) -> tuple:
     """Length-then-lexicographic sort key; a_i sorts before a_i^-1."""
-    return _letters_key(u.letters)
+    return (len(u.letters), tuple(_letter_key(x) for x in u.letters))
 
 
 _TOKEN = re.compile(r"(\d+)(?:\^(-?\d+))?$")
@@ -420,19 +433,41 @@ def _empty_trace_spec(points_sorted: Sequence[FWord]) -> FProgressionSpec:
     return FProgressionSpec((0,) * rank, g)
 
 
+def _encode(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Letter codes of signed letters: a_i is 2i - 2 and a_i^-1 is 2i - 1."""
+    return tuple(2 * x - 2 if x > 0 else -2 * x - 1 for x in letters)
+
+
+def _decode(codes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-(c >> 1) - 1 if c & 1 else (c >> 1) + 1 for c in codes)
+
+
 def _rebase(base: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
-    """Letters of the reduced word base^-1 * x, for reduced base and x."""
+    """Codes of the reduced word base^-1 * x, for reduced base and x."""
     common = 0
     for a, c in zip(base, x):
         if a != c:
             break
         common += 1
-    return tuple(-a for a in reversed(base[common:])) + x[common:]
+    return tuple(a ^ 1 for a in reversed(base[common:])) + x[common:]
+
+
+def _leaf_only(words: Sequence[tuple[int, ...]]) -> bool:
+    """Whether every point has degree at most 1 in the prefix trie of the
+    words rebased at ``words[0]``: the root has one child per distinct first
+    letter, and any other point must be a prefix of no other rebased word.
+    Sorted order puts the extensions of a word right after it.
+    """
+    base = words[0]
+    rebased = sorted(_rebase(base, x) for x in words[1:])
+    if rebased and rebased[0][0] != rebased[-1][0]:
+        return False
+    return all(b[: len(a)] != a for a, b in zip(rebased, rebased[1:]))
 
 
 class _PrefixTrie:
-    """The minimal tree of a point set, as the prefix trie of the words
-    b^-1 x rebased at the word_key-least point b.
+    """The minimal tree of a point set, as the prefix trie of the code
+    words b^-1 x rebased at the first point b.
 
     Node c stands for the vertex b * p_c, where p_c is the trie prefix of c;
     node 0 is b. ``words[c]`` is the reduced word of that vertex,
@@ -442,43 +477,38 @@ class _PrefixTrie:
     the node of point j.
     """
 
-    def __init__(self, points_sorted: Sequence[FWord]):
-        base = points_sorted[0].letters
-        self.rank = points_sorted[0].rank
-        self.n = len(points_sorted)
-        self.words = [base]
-        self.kids: list[dict] = [{}]
-        self.edge = [(0, 0)]
-        self.below = [0]
+    def __init__(self, rank: int, points: Sequence[tuple[int, ...]]):
+        base = points[0]
+        self.rank = rank
+        self.n = len(points)
+        self.words = words = [base]
+        self.kids = kids = [{}]
+        self.edge = edge = [(0, 0)]
+        self.below = below = [(1 << self.n) - 1]
         self.at = []
-        for j, x in enumerate(points_sorted):
+        for j, x in enumerate(points):
             bit = 1 << j
             c = 0
-            self.below[0] |= bit
-            for a in _rebase(base, x.letters):
-                child = self.kids[c].get(a)
+            for a in _rebase(base, x):
+                child = kids[c].get(a)
                 if child is None:
-                    child = len(self.words)
-                    self.kids[c][a] = child
-                    w = self.words[c]
-                    self.words.append(w[:-1] if w and w[-1] == -a else w + (a,))
-                    self.kids.append({})
-                    self.edge.append((c, a))
-                    self.below.append(0)
+                    child = len(words)
+                    kids[c][a] = child
+                    w = words[c]
+                    words.append(w[:-1] if w and w[-1] == a ^ 1 else w + (a,))
+                    kids.append({})
+                    edge.append((c, a))
+                    below.append(0)
                 c = child
-                self.below[c] |= bit
+                below[c] |= bit
             self.at.append(c)
 
+    @classmethod
+    def of(cls, points_sorted: Sequence[FWord]) -> "_PrefixTrie":
+        return cls(points_sorted[0].rank, [_encode(x.letters) for x in points_sorted])
+
     def vertex(self, c: int) -> FWord:
-        return FWord(self.rank, self.words[c])
-
-    def leaf_only(self) -> bool:
-        """Whether the points are exactly the vertices of degree at most 1.
-
-        Every vertex of degree at most 1 is a point: a childless node ends
-        the path of the point that created it, and the root is a point.
-        """
-        return all(len(self.kids[c]) + (c > 0) <= 1 for c in self.at)
+        return FWord(self.rank, _decode(self.words[c]))
 
     def tripod_center(self) -> Optional[int]:
         """The vertex outside the points whose three branches hold a third
@@ -514,12 +544,12 @@ class _PrefixTrie:
         for c in range(1, size):
             parent, a = self.edge[c]
             counts = list(cnt[parent])
-            counts[abs(a) - 1] += 1
+            counts[a >> 1] += 1
             cnt.append(tuple(counts))
         rows = [[[cnt[c][i] for c in self.at] for i in range(self.rank)]]
         for c in range(1, size):
             parent, a = self.edge[c]
-            i, sub = abs(a) - 1, self.below[c]
+            i, sub = a >> 1, self.below[c]
             row = list(rows[parent])
             row[i] = [d - 1 if sub >> j & 1 else d + 1 for j, d in enumerate(row[i])]
             rows.append(row)
@@ -538,28 +568,36 @@ def _thresholds(values: Sequence[int]) -> list[int]:
     return masks
 
 
+def _vertex_traces(row: Sequence[Sequence[int]], full: int) -> set[int]:
+    """The nonempty traces cut out at one vertex, from its distance row.
+
+    Bounds N give the trace {x : d(h, x) <= N}, the AND of one threshold
+    mask per coordinate, so the traces are the AND-combinations of the
+    threshold masks, de-duplicated after each coordinate.
+    """
+    traces = {full}
+    for values in row:
+        masks = _thresholds(values)
+        traces = {t & m for t in traces for m in masks}
+        traces.discard(0)
+    return traces
+
+
 def _trace_family(trie: _PrefixTrie) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Every nonempty trace of a translated progression on the points, as a
     bitmask, mapped to the first trie node in word_key order that cuts it
     out and the componentwise-minimal bounds there.
 
-    At a vertex, bounds N give the trace {x : d(h, x) <= N}, the AND of one
-    threshold mask per coordinate, and the minimal bounds of a trace give
-    the trace back. So the traces cut out at a vertex are the
-    AND-combinations of its threshold masks, de-duplicated after each
-    coordinate. The visit stops once every nonempty subset is present.
+    The minimal bounds of a trace at a vertex give the trace back. The
+    visit stops once every nonempty subset is present.
     """
     full = (1 << trie.n) - 1
     family: dict[int, tuple[int, tuple[int, ...]]] = {}
     rows = trie.rows()
-    for c in sorted(range(len(trie.words)), key=lambda c: _letters_key(trie.words[c])):
+    words = trie.words
+    for c in sorted(range(len(words)), key=lambda c: (len(words[c]), words[c])):
         row = rows[c]
-        traces = {full}
-        for values in row:
-            masks = _thresholds(values)
-            traces = {t & m for t in traces for m in masks}
-            traces.discard(0)
-        for t in traces:
+        for t in _vertex_traces(row, full):
             if t not in family:
                 kept = [j for j in range(trie.n) if t >> j & 1]
                 family[t] = (c, tuple(max(values[j] for j in kept) for values in row))
@@ -583,7 +621,7 @@ def cuts_out_free(
     if not sub:
         return _empty_trace_spec(pts)
     want = sum(1 << j for j, x in enumerate(pts) if x in sub)
-    trie = _PrefixTrie(pts)
+    trie = _PrefixTrie.of(pts)
     hit = _trace_family(trie).get(want)
     if hit is None:
         return None
@@ -596,7 +634,7 @@ def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> Sh
     _common_rank(pts)
     if len(pts) > cap:
         raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
-    trie = _PrefixTrie(pts)
+    trie = _PrefixTrie.of(pts)
     family = _trace_family(trie)
     vertices = {c: trie.vertex(c) for c, _ in family.values()}
     n = len(pts)
@@ -629,7 +667,7 @@ def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[froze
     if not pts or len(pts) % 3:
         raise DomainError(f"point count {len(pts)} is not a positive multiple of 3")
     ordered = sorted(pts, key=word_key)
-    trie = _PrefixTrie(ordered)
+    trie = _PrefixTrie.of(ordered)
     c = trie.tripod_center()
     if c is None:
         return None
@@ -637,21 +675,27 @@ def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[froze
     return center, branches(minimal_tree(ordered), center)
 
 
-def _decide_shattered(points_sorted: Sequence[FWord]) -> str:
-    """Verdict for one candidate set, cheapest certificates first.
+def _decide_shattered(rank: int, words: Sequence[tuple[int, ...]]) -> str:
+    """Verdict for distinct code words in word_key order, cheapest
+    certificates first.
 
     Returns one of "rejected-leaf", "rejected-tripod", "rejected-scan",
     "shattered". The two filters are sound: translated progressions are
     connected, so a shattered set consists of leaves of its minimal tree;
     and a shattered set of size 3k admits a tripod vertex.
     """
-    trie = _PrefixTrie(points_sorted)
-    if not trie.leaf_only():
+    if not _leaf_only(words):
         return "rejected-leaf"
-    if trie.n == 3 * trie.rank and trie.tripod_center() is None:
+    trie = _PrefixTrie(rank, words)
+    if trie.n == 3 * rank and trie.tripod_center() is None:
         return "rejected-tripod"
     full = (1 << trie.n) - 1
-    return "shattered" if len(_trace_family(trie)) == full else "rejected-scan"
+    seen: set[int] = set()
+    for row in trie.rows():
+        seen |= _vertex_traces(row, full)
+        if len(seen) == full:
+            return "shattered"
+    return "rejected-scan"
 
 
 def sample_word(rng: random.Random, rank: int, max_len: int) -> FWord:
@@ -665,17 +709,48 @@ def sample_word(rng: random.Random, rank: int, max_len: int) -> FWord:
     return FWord(rank, tuple(letters))
 
 
-def sample_point_set(rng: random.Random, rank: int, size: int, max_len: int) -> frozenset:
-    pts: set[FWord] = set()
+def _sample_codes(rng: random.Random, rank: int, max_len: int) -> tuple[int, ...]:
+    """The word ``sample_word`` draws, as codes, from the same calls on rng:
+    an index into a range as long as its ``choices``, stepped past the
+    banned inverse of the previous letter."""
+    length = rng.randint(0, max_len)
+    if not length:
+        return ()
+    c = rng.choice(range(2 * rank))
+    codes = [c]
+    rest = range(2 * rank - 1)
+    for _ in range(length - 1):
+        i = rng.choice(rest)
+        c = i + (i >= c ^ 1)
+        codes.append(c)
+    return tuple(codes)
+
+
+def _sample_point_codes(
+    rng: random.Random, rank: int, size: int, max_len: int
+) -> list[tuple[int, ...]]:
+    """Distinct ``_sample_codes`` words until there are ``size``, in word_key
+    order."""
+    pts: set[tuple[int, ...]] = set()
     attempts = 0
     while len(pts) < size:
-        pts.add(sample_word(rng, rank, max_len))
+        pts.add(_sample_codes(rng, rank, max_len))
         attempts += 1
         if attempts > 1000 * size:
             raise ResourceLimitError(
                 f"could not sample {size} distinct words of length <= {max_len}"
             )
-    return frozenset(pts)
+    # word_key order: a stable sort by length of the sorted tuples
+    words = sorted(pts)
+    words.sort(key=len)
+    return words
+
+
+def sample_point_set(rng: random.Random, rank: int, size: int, max_len: int) -> frozenset:
+    """Distinct words drawn by ``sample_word`` until there are ``size``."""
+    _check_rank(rank)
+    words = _sample_point_codes(rng, rank, size, max_len)
+    return frozenset(FWord(rank, _decode(w)) for w in words)
 
 
 def search_shattered_sets(
@@ -689,30 +764,29 @@ def search_shattered_sets(
 ) -> dict:
     """Sample random point sets and decide shattering for each.
 
-    Sampling is sequential from one seeded generator and verdicts are
-    merged in sample order, so the report is identical for any thread
-    count. ``shattered`` lists any shattered sets found, as word texts.
+    The sets are those ``sample_point_set`` draws from one seeded
+    generator, kept as code tuples; only the ``shattered`` ones become word
+    texts. Verdicts are merged in sample order, so the report is identical
+    for any thread count.
     """
+    _check_rank(rank)
     if size < 1 or samples < 0 or max_len < 0:
         raise DomainError("size must be >= 1 and samples, max_len >= 0")
     if size > cap:
         raise ResourceLimitError(f"set size {size} exceeds cap {cap}")
     rng = random.Random(seed)
-    sets = [
-        sorted(sample_point_set(rng, rank, size, max_len), key=word_key)
-        for _ in range(samples)
-    ]
+    sets = [_sample_point_codes(rng, rank, size, max_len) for _ in range(samples)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(_decide_shattered, sets))
+            verdicts = list(pool.map(functools.partial(_decide_shattered, rank), sets))
     else:
-        verdicts = [_decide_shattered(pts) for pts in sets]
+        verdicts = [_decide_shattered(rank, words) for words in sets]
     tally = {"rejected-leaf": 0, "rejected-tripod": 0, "rejected-scan": 0, "shattered": 0}
     shattered = []
-    for pts, verdict in zip(sets, verdicts):
+    for words, verdict in zip(sets, verdicts):
         tally[verdict] += 1
         if verdict == "shattered":
-            shattered.append([format_word(x) for x in pts])
+            shattered.append([format_word(FWord(rank, _decode(w))) for w in words])
     return {
         "rank": rank,
         "size": size,

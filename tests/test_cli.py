@@ -5,14 +5,17 @@ captured stdout. Exit codes: 0 verified/success, 1 failed check, 2 usage
 or resource errors.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from progvc.cli import main
-from progvc.freegroup import MAX_WORD_LEN
+from progvc.freegroup import MAX_RANK, MAX_WORD_LEN
 from progvc.heisenberg import enumerate_progression
 
 P11_CSV = "\n".join(
@@ -229,6 +232,16 @@ def test_heisenberg_search_runs_with_window(capsys):
     assert report["params"]["seed"] == 11
 
 
+def test_heisenberg_search_rejects_sizes_the_point_window_cannot_hold(capsys):
+    # --size 2 with a one-point window used to loop forever drawing points.
+    argv = ["heisenberg", "search", "--experimental", "--translate-window", "0"]
+    assert main(argv + ["--point-window", "0", "--size", "2"]) == 2
+    assert capsys.readouterr().err == "error: --size 2 exceeds the 1 points of the point window\n"
+    assert main(argv + ["--point-window=-1"]) == 2
+    assert main(argv + ["--size=-1"]) == 2
+    assert main(argv + ["--point-window", "0", "--size", "1"]) == 0
+
+
 def test_free_shatter_interval_gap(capsys):
     code, report = run_json(
         capsys, "free", "shatter", "--k", "1", "--points", "1^0,1^5,1^10"
@@ -297,6 +310,36 @@ def test_free_search_deterministic(capsys):
     assert report["result"]["seed"] == 42
     assert report["result"]["shattered"] == []
     assert sum(report["result"]["verdicts"].values()) == 20
+
+
+# sha256 of the report bytes as free search printed them when it sampled
+# and decided FWord sets; the size-4 run lists 5 shattered sets.
+FREE_SEARCH_DIGESTS = {
+    "6": "e0c69358d3e991e0b873091825a13bbd9d43c0f8c625da69e3b8fee2c698f784",
+    "4": "ea0873ac9aa264907b2f81e4240c35fe3b9a4556aae3274164efc35e471dd42a",
+}
+
+
+@pytest.mark.parametrize("size", sorted(FREE_SEARCH_DIGESTS))
+def test_free_search_report_digests(capsys, size):
+    argv = ["free", "search", "--k", "2", "--size", size, "--samples", "3000", "--seed", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE_SEARCH_DIGESTS[size]
+
+
+@pytest.mark.parametrize("k, code", [(MAX_RANK, 0), (MAX_RANK + 1, 2)])
+def test_free_rank_cap(capsys, k, code):
+    for argv in (
+        ["free", "shatter", "--k", str(k), "--points", "1^1,2^1"],
+        ["free", "search", "--k", str(k), "--size", "2", "--samples", "2"],
+    ):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code:
+            assert captured.out == ""
+            assert captured.err == f"error: rank {k} exceeds the cap of {MAX_RANK}\n"
 
 
 def test_free_witness(capsys):
@@ -461,6 +504,48 @@ def test_consecutive_calls_share_no_state(capsys, monkeypatch, tmp_path):
     assert run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")[1]["params"]["threads"] == 1
 
 
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        (
+            {"threads": "x"},
+            ["bounds", "cd", "--d", "1", "--n", "2"],
+            "error: config 'threads': invalid int value 'x'\n",
+        ),
+        (
+            {"samples": "many"},
+            ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
+            "error: config 'samples': invalid int value 'many'\n",
+        ),
+        (
+            {"samples": 2.5},
+            ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
+            "error: config 'samples' must be a string or an integer, got 2.5\n",
+        ),
+    ],
+    ids=["threads", "samples", "samples-float"],
+)
+def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_config_values_take_the_flag_type(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": "3", "max-len": 4, "func": 1}))
+    code, report = run_json(
+        capsys, "free", "search", "--k", "2", "--size", "3", "--samples", "2", "--config", str(cfg)
+    )
+    assert code == 0
+    assert report["params"]["threads"] == 3
+    assert report["params"]["max_len"] == 4
+
+
 def test_threads_must_be_positive(capsys):
     assert main(["bounds", "cd", "--d", "0", "--n", "0", "--threads", "0"]) == 2
 
@@ -499,3 +584,99 @@ def test_unknown_subcommand_exits_2():
 def test_reports_are_byte_identical_across_runs(capsys):
     runs = [run(capsys, "heisenberg", "verify", "--nmax", "1")[1] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# ------------------------------------------------------------- argv fuzzing
+
+SMALL = st.integers(-2, 5).map(str)
+COUNT = st.integers(-1, 3).map(str)
+FREE_WORD = st.one_of(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), min_size=1, max_size=3).map(
+        lambda runs: "*".join(f"{i}^{e}" for i, e in runs)
+    ),
+    st.sampled_from(["e", "1", "1^", "^2", "x", " "]),
+)
+FREE_POINTS = st.lists(FREE_WORD, min_size=1, max_size=4).map(",".join)
+INT_LIST = st.lists(st.sampled_from(["-1", "0", "1", "2", "3", "x", ""]), max_size=3).map(",".join)
+TRIPLE = st.one_of(
+    st.lists(st.integers(-2, 2).map(str), min_size=3, max_size=3).map(",".join),
+    st.sampled_from(["", "1,2", "a,b,c", "1,2,3,4"]),
+)
+
+# Per command: flags it always gets, then flags it may get.
+COMMANDS = {
+    ("heisenberg", "verify"): ({"--nmax": SMALL}, {"--cap": SMALL, "--inject-fault": None}),
+    ("heisenberg", "member"): (
+        {"--n1": SMALL, "--n2": SMALL, "--point": TRIPLE}, {"--translate": TRIPLE}
+    ),
+    ("heisenberg", "enumerate"): ({"--n1": SMALL, "--n2": SMALL}, {"--cap": SMALL}),
+    ("heisenberg", "witness"): ({"--n1": SMALL, "--n2": SMALL, "--point": TRIPLE}, {}),
+    ("heisenberg", "search"): (
+        {},
+        {
+            "--experimental": None,
+            "--translate-window": st.integers(-1, 1).map(str),
+            "--size": SMALL,
+            "--samples": COUNT,
+            "--seed": SMALL,
+            "--nmax": st.integers(-1, 2).map(str),
+            "--point-window": st.integers(-1, 1).map(str),
+        },
+    ),
+    ("bounds", "cd"): ({"--d": SMALL, "--n": SMALL}, {}),
+    ("bounds", "f"): ({"--d": SMALL, "--k": SMALL}, {}),
+    ("bounds", "g"): ({"--d": SMALL, "--k": SMALL}, {}),
+    ("bounds", "km"): ({"--d": SMALL, "--l": SMALL, "--s": SMALL, "--n": SMALL}, {}),
+    ("bounds", "verify-heisenberg"): ({}, {}),
+    ("free", "shatter"): ({"--k": SMALL, "--points": FREE_POINTS}, {"--cap": SMALL}),
+    ("free", "example-f2"): ({}, {}),
+    ("free", "search"): (
+        {"--k": SMALL, "--size": SMALL, "--samples": COUNT},
+        {"--seed": SMALL, "--max-len": SMALL, "--cap": SMALL},
+    ),
+    ("free", "witness"): ({"--k": SMALL, "--bounds": INT_LIST}, {"--subset": INT_LIST}),
+    ("free", "tripod"): ({"--k": SMALL, "--points": FREE_POINTS}, {}),
+    ("setsystem", "vc"): ({"--file": None}, {"--cap": SMALL}),
+    ("setsystem", "shatter"): ({"--file": None, "--target": INT_LIST}, {"--cap": SMALL}),
+    ("setsystem", "pi"): ({"--file": None, "--n": SMALL}, {}),
+}
+COMMON = {
+    "--format": st.sampled_from(["json", "csv", "text"]),
+    "--threads": st.integers(-1, 3).map(str),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_system(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "system.json"
+    system = {"ground": ["0", "1", "2", "3"], "family": [[0, 1], [1, 2], [2, 3], [3]]}
+    path.write_text(json.dumps(system))
+    return str(path)
+
+
+@st.composite
+def argvs(draw, system_file):
+    group, cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[group, cmd]
+    chosen = dict(required)
+    chosen.update({f: v for f, v in (optional | COMMON).items() if draw(st.booleans())})
+    argv = [group, cmd]
+    for flag, values in chosen.items():
+        if flag == "--file":
+            values = st.sampled_from([system_file, system_file + ".missing"])
+        # flag=value, so that a value like "-1,2" is not read as a flag
+        argv.append(flag if values is None else f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_generated_argv_keeps_the_exit_contract(fuzz_system, data):
+    argv = data.draw(argvs(fuzz_system))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+    assert (code == 2) == bool(err.getvalue())

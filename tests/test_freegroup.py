@@ -15,9 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 from progvc.errors import DomainError, ResourceLimitError
 from progvc.freegroup import (
     _decide_shattered,
+    _decode,
+    _encode,
+    _leaf_only,
+    _sample_codes,
+    _sample_point_codes,
     DominatingSequence,
     FProgressionSpec,
     FWord,
+    MAX_RANK,
     MAX_WORD_LEN,
     branches,
     branches_star,
@@ -576,6 +582,20 @@ def oracle_tripod(pts):
     return None
 
 
+def oracle_verdict(pts, missing):
+    # The verdict free search must give, from the reference geometry and
+    # the oracle's missing subsets.
+    if leaves(minimal_tree(pts)) != frozenset(pts):
+        return "rejected-leaf"
+    if len(pts) == 3 * pts[0].rank and oracle_tripod(pts) is None:
+        return "rejected-tripod"
+    return "rejected-scan" if missing else "shattered"
+
+
+def codes(pts):
+    return [_encode(x.letters) for x in sorted(pts, key=word_key)]
+
+
 def ranked_point_sets():
     return st.integers(1, 3).flatmap(
         lambda k: st.sets(fwords(rank=k, max_len=4), min_size=1, max_size=6)
@@ -604,13 +624,7 @@ def test_trace_family_matches_brute_force_oracle(points):
         assert (None if spec is None else str(spec)) == found.get(chosen)
     if len(pts) % 3 == 0:
         assert tripod_profile(pts) == oracle_tripod(pts)
-    if leaves(minimal_tree(pts)) != frozenset(pts):
-        verdict = "rejected-leaf"
-    elif len(pts) == 3 * pts[0].rank and oracle_tripod(pts) is None:
-        verdict = "rejected-tripod"
-    else:
-        verdict = "rejected-scan" if missing else "shattered"
-    assert _decide_shattered(pts) == verdict
+    assert _decide_shattered(pts[0].rank, codes(pts)) == oracle_verdict(pts, missing)
 
 
 def test_generator_witness_examples():
@@ -678,3 +692,92 @@ def test_search_validation():
         search_shattered_sets(2, 20, 1, seed=0)
     with pytest.raises(DomainError):
         search_shattered_sets(2, 0, 1, seed=0)
+
+
+# ------------------------------------------------------- code-tuple fast paths
+
+
+def test_codes_follow_word_key_order():
+    words = [w2(t) for t in ("e", "1^1", "1^-1", "2^1", "2^-1", "1^2", "1^1*2^-1", "2^-1*1^1")]
+    want = [(), (0,), (1,), (2,), (3,), (0, 0), (0, 3), (3, 0)]
+    assert [_encode(u.letters) for u in words] == want
+    assert [_decode(_encode(u.letters)) for u in words] == [u.letters for u in words]
+    assert codes(reversed(words)) == [_encode(u.letters) for u in sorted(words, key=word_key)]
+
+
+def reference_point_set(rng, rank, size, max_len):
+    # Distinct sample_word draws until there are size of them, each FWord
+    # built and validated: the loop the code-tuple sampler replaces.
+    pts, attempts = set(), 0
+    while len(pts) < size:
+        pts.add(sample_word(rng, rank, max_len))
+        attempts += 1
+        if attempts > 1000 * size:
+            raise ResourceLimitError("too few distinct words")
+    return frozenset(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_code_sampler_draws_what_sample_word_draws(rank, max_len, size, seed):
+    slow, fast = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        want = sample_word(slow, rank, max_len).letters
+        assert _decode(_sample_codes(fast, rank, max_len)) == want
+    assert fast.getstate() == slow.getstate()
+    state = fast.getstate()
+    try:
+        want = reference_point_set(slow, rank, size, max_len)
+    except ResourceLimitError:
+        for sampler in (_sample_point_codes, sample_point_set):
+            fast.setstate(state)
+            with pytest.raises(ResourceLimitError):
+                sampler(fast, rank, size, max_len)
+    else:
+        assert _sample_point_codes(fast, rank, size, max_len) == codes(want)
+        assert fast.getstate() == slow.getstate()
+        fast.setstate(state)
+        assert sample_point_set(fast, rank, size, max_len) == want
+    assert fast.getstate() == slow.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_point_sets())
+@example(frozenset({w2("e")}))
+@example(frozenset(w2(t) for t in ("e", "1^1", "2^1")))
+@example(frozenset(w2(t) for t in ("e", "1^1", "1^2")))
+@example(frozenset(w2(t) for t in ("1^1", "1^2")))
+@example(frozenset(w2(t) for t in ("1^1", "1^2*2^1", "1^2*2^-1")))
+@example(frozenset(w2(t) for t in ("e", "1^1*2^1", "1^1*2^1*1^1", "1^1*2^2")))
+def test_leaf_check_matches_minimal_tree_leaves(points):
+    pts = sorted(points, key=word_key)
+    assert _leaf_only(codes(pts)) == (leaves(minimal_tree(pts)) == frozenset(pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_decide_shattered_matches_oracle_on_sampled_sets(rank, size, seed):
+    pts = sorted(sample_point_set(random.Random(seed), rank, size, 4), key=word_key)
+    _, missing = oracle_witnesses(pts)
+    assert _decide_shattered(rank, codes(pts)) == oracle_verdict(pts, missing)
+
+
+def test_search_lists_shattered_sets_in_word_key_order():
+    report = search_shattered_sets(2, 4, 3000, seed=1)
+    assert report["verdicts"]["shattered"] == len(report["shattered"]) == 5
+    for texts in report["shattered"]:
+        pts = [w2(t) for t in texts]
+        assert pts == sorted(pts, key=word_key)
+        assert is_shattered_free(pts).shattered
+
+
+def test_rank_cap():
+    assert len(FWord(MAX_RANK, (MAX_RANK, -1)).letters) == 2
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        FWord(MAX_RANK + 1, ())
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        parse_word(MAX_RANK + 1, "1^1")
+    assert search_shattered_sets(MAX_RANK, 2, 3, seed=0)["samples"] == 3
+    for rank in (0, MAX_RANK + 1):
+        with pytest.raises(DomainError):
+            search_shattered_sets(rank, 2, 1, seed=0)
