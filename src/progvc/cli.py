@@ -7,7 +7,7 @@ ran but did not verify, 2 for usage, domain, or resource errors.
 
 A JSON config file may supply defaults for any long flag of the command
 (keys without the leading dashes); each value must be one the flag accepts,
-and flags given on the command line win. The default thread count comes
+and flags given on the command line, abbreviated or not, win. The default thread count comes
 from the PROGVC_THREADS environment variable.
 """
 
@@ -379,6 +379,13 @@ def cmd_setsystem_pi(args) -> int:
 # --------------------------------------------------------------------- wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    # One "error:" line on exit 2, as for every usage error; subparsers inherit it.
+    def error(self, message):
+        print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args fills a fresh namespace and leaves
@@ -396,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--config", help="JSON file of default flag values (flags win)")
 
-    parser = argparse.ArgumentParser(prog="progvc", description=__doc__)
+    parser = _Parser(prog="progvc", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
 
     h = top.add_parser("heisenberg", help="Heisenberg group progressions").add_subparsers(
@@ -551,13 +558,20 @@ def _apply_config(args, argv: Sequence[str]) -> None:
     if not isinstance(defaults, dict):
         raise DomainError("config must be a JSON object of flag defaults")
     options = _leaf_options(args)
+    longs = [o for a in options.values() for o in a.option_strings if o.startswith("--")]
+    given = set()
+    for token in argv:
+        head = token.split("=", 1)[0]
+        # argparse reads a prefix of exactly one long option as that option.
+        matches = [head] if head in longs else [o for o in longs if o.startswith(head)]
+        if head.startswith("--") and len(matches) == 1:
+            given.update(matches)
     for key, value in defaults.items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             continue
         value = _config_value(key, action, value)
-        flags = action.option_strings
-        if not any(tok == f or tok.startswith(f + "=") for tok in argv for f in flags):
+        if given.isdisjoint(action.option_strings):
             setattr(args, action.dest, value)
 
 

@@ -9,16 +9,16 @@ C = (0, 0, 1) is central.
 Words over {A, A^-1, B, B^-1} are plain strings over the alphabet "AaBb"
 with lowercase meaning inverse, so "ABab" is the commutator word. The
 progression P(N1, N2) is the set of values of all words using at most N1
-letters from {A, A^-1} and at most N2 from {B, B^-1}. Membership in
-P(N1, N2) is decided by an exact four-case inequality on (a, b, c); an
-independent breadth-first enumeration is provided as a cross-check.
+letters from {A, A^-1} and at most N2 from {B, B^-1}. Over each (a, b)
+its central coordinates c form one interval, from an exact four-case
+formula; an independent breadth-first enumeration is provided as a
+cross-check.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -183,39 +183,36 @@ class HProgressionSpec:
             raise DomainError(f"budgets must be nonnegative, got ({self.n1}, {self.n2})")
 
 
-def max_central(a: int, b: int, n1: int, n2: int) -> int:
-    """Largest c with (a, b, c) in P(n1, n2), for 0 <= a <= n1, 0 <= b <= n2.
+def _central_range(n1: int, n2: int, a: int, b: int) -> Optional[tuple[int, int]]:
+    """The ends (lo, hi) of the c with (a, b, c) in P(n1, n2), or None.
 
-    Equals floor((n1+a)/2) * floor((n2+b)/2): a word can use at most that
-    many positive A and positive B letters, which caps the commutator count.
+    A word can use at most floor((n1+|a|)/2) A-type letters of a's sign and
+    floor((n2+|b|)/2) B-type letters of b's sign; their product m caps the
+    commutator count.
     """
+    if abs(a) > n1 or abs(b) > n2:
+        return None
+    m = ((n1 + abs(a)) // 2) * ((n2 + abs(b)) // 2)
+    ab = a * b
+    return (ab - m, m) if ab >= 0 else (-m, ab + m)
+
+
+def max_central(a: int, b: int, n1: int, n2: int) -> int:
+    """Largest c with (a, b, c) in P(n1, n2), for 0 <= a <= n1, 0 <= b <= n2:
+    floor((n1+a)/2) * floor((n2+b)/2)."""
     if not (0 <= a <= n1 and 0 <= b <= n2):
         raise DomainError(f"need 0 <= a <= n1 and 0 <= b <= n2, got a={a}, b={b}, n1={n1}, n2={n2}")
-    return ((n1 + a) // 2) * ((n2 + b) // 2)
+    return _central_range(n1, n2, a, b)[1]
 
 
 def membership(spec: HProgressionSpec, p: Sequence[int]) -> bool:
-    """Exact membership test for a translated progression."""
+    """Exact membership test: untranslated, c lies in the interval over (a, b)."""
     t0, t1, t2 = spec.translate
     p0, p1, p2 = p
     # (a, b, c) = translate^-1 * p, written out.
-    a = p0 - t0
     b = p1 - t1
-    c = p2 - t2 - t0 * b
-    n1, n2 = spec.n1, spec.n2
-    if abs(a) > n1 or abs(b) > n2:
-        return False
-    if a >= 0 and b >= 0:
-        m = ((n1 + a) // 2) * ((n2 + b) // 2)
-        return a * b - m <= c <= m
-    if a < 0 and b < 0:
-        m = ((n1 - a) // 2) * ((n2 - b) // 2)
-        return a * b - m <= c <= m
-    if a >= 0:
-        m = ((n1 + a) // 2) * ((n2 - b) // 2)
-        return -m <= c <= a * b + m
-    m = ((n1 - a) // 2) * ((n2 + b) // 2)
-    return -m <= c <= a * b + m
+    span = _central_range(spec.n1, spec.n2, p0 - t0, b)
+    return span is not None and span[0] <= p2 - t2 - t0 * b <= span[1]
 
 
 def _budget_frontier(n1: int, n2: int) -> dict:
@@ -321,10 +318,11 @@ def verify_cells(nmax: int, cap: int = DEFAULT_ENUM_CAP, inject_fault: bool = Fa
 
     One budget frontier, enumerated at (nmax, nmax), is shared by all
     cells: a point is in P(n1, n2) exactly when one of its Pareto-minimal
-    budget pairs is <= (n1, n2). Each cell scans the box |a| <= n1,
-    |b| <= n2, |c| <= n1*n2 + 1 with the formula and reports the enumerated
-    points outside it. The fault injection flips the formula's verdict on
-    the identity in the last cell as a negative control.
+    budget pairs is <= (n1, n2). Each cell checks every column (a, b) of
+    the box |a| <= n1, |b| <= n2, |c| <= n1*n2 + 1 against the formula's
+    interval, reports the points of the box where the two differ, and the
+    enumerated points outside it. The fault injection flips the formula's
+    verdict on the identity in the last cell as a negative control.
     """
     if nmax < 0:
         raise DomainError("nmax must be nonnegative")
@@ -341,19 +339,33 @@ def verify_cells(nmax: int, cap: int = DEFAULT_ENUM_CAP, inject_fault: bool = Fa
                 entering[n1][used_b].append(point)
     cells = []
     for n1 in range(nmax + 1):
-        points = set()
+        columns = {}
+        tall = []
+        size = 0
         for n2 in range(nmax + 1):
-            points.update(entering[n1][n2])
-            spec = HProgressionSpec(n1, n2)
+            new = entering[n1][n2]
+            size += len(new)
+            for a, b, c in new:
+                columns.setdefault((a, b), set()).add(c)
             top = n1 * n2 + 1
-            box = product(range(-n1, n1 + 1), range(-n2, n2 + 1), range(-top, top + 1))
-            mismatches = [p for p in box if membership(spec, p) != (p in points)]
-            mismatches.extend(p for p in points if abs(p[2]) > top)
+            # top only grows with n2.
+            tall = [p for p in tall + new if abs(p[2]) > top]
+            mismatches = tall[:]
+            for a in range(-n1, n1 + 1):
+                for b in range(-n2, n2 + 1):
+                    lo, hi = _central_range(n1, n2, a, b)
+                    column = columns.get((a, b), ())
+                    # Distinct ints: the right count within the ends fills the interval.
+                    if len(column) == hi - lo + 1 and min(column) == lo and max(column) == hi:
+                        continue
+                    want = range(max(lo, -top), min(hi, top) + 1)
+                    have = {c for c in column if abs(c) <= top}
+                    mismatches.extend((a, b, c) for c in have.symmetric_difference(want))
             cells.append(
                 {
                     "n1": n1,
                     "n2": n2,
-                    "size": len(points),
+                    "size": size,
                     "mismatches": [list(p) for p in sorted(mismatches)],
                 }
             )

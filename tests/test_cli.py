@@ -24,8 +24,12 @@ P11_CSV = "\n".join(
 ) + "\n"
 
 # sha256 of the report bytes as the unpruned breadth-first enumeration
-# produced them; the pruned one must reproduce them exactly.
+# produced them; the pruned one must reproduce them exactly. The nmax 7
+# digest, the benchmark's size, is as the scan of every box point with the
+# membership formula produced it; the column check must reproduce it.
 REPORT_DIGESTS = {
+    "heisenberg verify --nmax 7":
+        "9583f8318a96d6f957f07da7e3791b9e70ca03ed9d22d45ae5b32670528d4832",
     "heisenberg verify --nmax 5":
         "e8a2e50f0a247b46d58bf48036b8e917304b458c43a325d5b18a52efc73c6a02",
     "heisenberg verify --nmax 5 --inject-fault":
@@ -535,6 +539,30 @@ def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message)
     assert captured.err == message
 
 
+@pytest.mark.parametrize(
+    "config, argv, param, value",
+    [
+        ({"threads": 3}, ["bounds", "cd", "--d", "1", "--n", "2", "--thread", "5"], "threads", 5),
+        ({"threads": 3}, ["bounds", "cd", "--d", "1", "--n", "2", "--thr=5"], "threads", 5),
+        (
+            {"samples": 7},
+            ["free", "search", "--k", "2", "--size", "3", "--sam", "2"],
+            "samples",
+            2,
+        ),
+        ({"seed": 7}, ["free", "search", "--k", "2", "--size", "3", "--samples", "2"], "seed", 7),
+    ],
+    ids=["thread", "thr=", "sam", "unnamed"],
+)
+def test_abbreviated_flags_beat_the_config(capsys, tmp_path, config, argv, param, value):
+    # argparse reads a prefix of exactly one long option as that option.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, report = run_json(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert report["params"][param] == value
+
+
 def test_config_values_take_the_flag_type(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threads": "3", "max-len": 4, "func": 1}))
@@ -660,12 +688,28 @@ def argvs(draw, system_file):
     required, optional = COMMANDS[group, cmd]
     chosen = dict(required)
     chosen.update({f: v for f, v in (optional | COMMON).items() if draw(st.booleans())})
+    # Malformed argv, which argparse itself rejects or reads: a required flag
+    # left out, an unknown one, or a value that starts with "-" after a space.
+    fault = draw(st.sampled_from([None, None, "drop", "unknown", "spaced"]))
+    if fault == "drop" and required:
+        del chosen[draw(st.sampled_from(sorted(required)))]
+    valued = sorted(f for f in chosen if f == "--file" or chosen[f] is not None)
+    spaced = draw(st.sampled_from(valued)) if fault == "spaced" and valued else None
     argv = [group, cmd]
     for flag, values in chosen.items():
         if flag == "--file":
             values = st.sampled_from([system_file, system_file + ".missing"])
-        # flag=value, so that a value like "-1,2" is not read as a flag
-        argv.append(flag if values is None else f"{flag}={draw(values)}")
+        if values is None:
+            argv.append(flag)
+        elif flag == spaced:
+            argv += [flag, "-" + draw(values).lstrip("-")]
+        else:
+            # flag=value, so that a value like "-1,2" is not read as a flag
+            argv.append(f"{flag}={draw(values)}")
+    if fault == "unknown":
+        unknown = ["--bogus", "--bogus=1", "-z", "extra", "two\nlines", "--s", "--"]
+        extra = draw(st.sampled_from(unknown))
+        argv.insert(draw(st.integers(2, len(argv))), extra)
     return argv
 
 
@@ -675,7 +719,11 @@ def test_generated_argv_keeps_the_exit_contract(fuzz_system, data):
     argv = data.draw(argvs(fuzz_system))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse rejected the argv.
+            code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1

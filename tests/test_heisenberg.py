@@ -7,10 +7,11 @@ enumeration is itself checked against the values of every word within the
 budgets.
 """
 
+from bisect import insort
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from progvc import heisenberg as hg
 from progvc.errors import DomainError, ResourceLimitError
@@ -373,6 +374,75 @@ def test_verify_cells_flags_wrong_enumerations(monkeypatch):
     flagged = [(c["n1"], c["n2"], c["mismatches"]) for c in report["cells"] if c["mismatches"]]
     assert flagged == [(1, 1, [[0, 0, 1], [0, 0, 5]])]
     assert report["mismatch_count"] == 2
+
+
+def pointwise_cells(nmax, frontier, inject_fault=False):
+    """verify_cells as a scan of every box point with membership: the
+    reference for the column check, for any frontier. A point is in
+    P(n1, n2) when one of its budget pairs is <= (n1, n2)."""
+    cells = []
+    for n1 in range(nmax + 1):
+        for n2 in range(nmax + 1):
+            points = {
+                p for p, pairs in frontier.items() if any(x <= n1 and y <= n2 for x, y in pairs)
+            }
+            spec = HProgressionSpec(n1, n2)
+            top = n1 * n2 + 1
+            mismatches = [p for p in box(n1, n2) if membership(spec, p) != (p in points)]
+            mismatches.extend(p for p in points if abs(p[2]) > top)
+            cells.append(
+                {
+                    "n1": n1,
+                    "n2": n2,
+                    "size": len(points),
+                    "mismatches": [list(p) for p in sorted(mismatches)],
+                }
+            )
+    if inject_fault:
+        last = cells[-1]["mismatches"]
+        if [0, 0, 0] in last:
+            last.remove([0, 0, 0])
+        else:
+            insort(last, [0, 0, 0])
+    total_mismatches = sum(len(cell["mismatches"]) for cell in cells)
+    return {"nmax": nmax, "cells": cells, "mismatch_count": total_mismatches}
+
+
+@st.composite
+def corrupted_frontiers(draw):
+    """A true frontier for nmax <= 3 with points dropped and points added:
+    inside a column of the box, past |c| > n1*n2 + 1, and outside the
+    (a, b) rectangle. Each added point gets one budget pair <= nmax."""
+    nmax = draw(st.integers(0, 3))
+    frontier = hg._budget_frontier(nmax, nmax)
+    pair = st.tuples(st.integers(0, nmax), st.integers(0, nmax))
+    for p in draw(st.lists(st.sampled_from(sorted(frontier)), max_size=6, unique=True)):
+        del frontier[p]
+    near = st.integers(-nmax, nmax)
+    far = st.integers(nmax + 1, nmax + 2).flatmap(lambda r: st.sampled_from([-r, r]))
+    top = nmax * nmax + 1
+    tall = st.integers(top - nmax, top + 3).flatmap(lambda c: st.sampled_from([-c, c]))
+    added = st.one_of(
+        st.tuples(near, near, st.integers(-top, top)),
+        st.tuples(near, near, tall),
+        st.tuples(far, near, st.integers(-top, top)),
+        st.tuples(near, far, st.integers(-top - 2, top + 2)),
+    )
+    for p in draw(st.lists(added, max_size=6)):
+        frontier[p] = [draw(pair)]
+    return nmax, frontier
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_frontiers(), st.booleans())
+@example((2, hg._budget_frontier(2, 2)), False)
+@example((3, {**hg._budget_frontier(3, 3), (0, 0, 11): [(3, 3)], (4, 0, 0): [(0, 0)]}), True)
+def test_column_check_matches_pointwise_scan(case, inject_fault):
+    nmax, frontier = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hg, "_budget_frontier", lambda n1, n2: {p: list(v) for p, v in frontier.items()})
+        report = verify_cells(nmax, inject_fault=inject_fault)
+    assert report == pointwise_cells(nmax, frontier, inject_fault)
 
 
 def test_spec_rejects_negative_budgets():
