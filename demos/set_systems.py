@@ -21,7 +21,9 @@ ground = list(range(6))
 cosets = SetSystem(ground, [{0, 3}, {1, 4}, {2, 5}])
 print(f"Cosets of {{0,3}} in Z_6: {[sorted(s) for s in cosets.members()]}")
 print(f"  cuts {0} out of {{0,1}}: {cuts_out(cosets, [0, 1], [0])}")
-print(f"  shatters {{0,1}}: {shatters(cosets, [0, 1])}")
+report = shatters(cosets, [0, 1])
+print(f"  {{0,1}} is {report.verdict}; no member cuts out "
+      f"{[sorted(m) for m in report.missing]}")
 print(f"  (the trace {{0,1}} itself is impossible: cosets are disjoint)")
 print(f"  VC dimension: {vc_dimension_exact(cosets)}")
 print(f"  shatter function: {[shatter_function(cosets, n) for n in range(7)]}")

@@ -335,13 +335,15 @@ def _load_system(path: str) -> setsystem.SetSystem:
 
 
 def _resolve_labels(sys_: setsystem.SetSystem, text: str) -> list:
-    by_text = {str(label): label for label in sys_.ground}
+    by_text = {}
+    for label in sys_.ground:
+        by_text.setdefault(str(label), []).append(label)
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token not in by_text:
-            raise DomainError(f"{token!r} is not a ground point")
-        out.append(by_text[token])
+    for token in map(str.strip, text.split(",")):
+        labels = by_text.get(token, [])
+        if len(labels) != 1:
+            raise DomainError(f"{token!r} names {len(labels)} ground points, not one")
+        out += labels
     return out
 
 

@@ -92,11 +92,16 @@ class FWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
+        # Once per object: the witnesses of one trie vertex share it.
         return format_word(self)
 
+    def __str__(self) -> str:
+        return self._text
+
     def __repr__(self) -> str:
-        return f"FWord({self.rank}, {format_word(self)!r})"
+        return f"FWord({self.rank}, {self._text!r})"
 
 
 def identity(rank: int) -> FWord:
@@ -376,7 +381,7 @@ class FProgressionSpec:
             raise DomainError(f"bounds must be nonnegative, got {self.bounds}")
 
     def __str__(self) -> str:
-        return f"{format_word(self.translate)}*P({', '.join(map(str, self.bounds))})"
+        return f"{self.translate}*P({', '.join(map(str, self.bounds))})"
 
 
 def progression_contains(spec: FProgressionSpec, x: FWord) -> bool:
@@ -583,27 +588,34 @@ def _vertex_traces(row: Sequence[Sequence[int]], full: int) -> set[int]:
     return traces
 
 
-def _trace_family(trie: _PrefixTrie) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Every nonempty trace of a translated progression on the points, as a
-    bitmask, mapped to the first trie node in word_key order that cuts it
-    out and the componentwise-minimal bounds there.
+def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> ShatterReport:
+    """Exhaustive shattering check against all translated progressions.
 
-    The minimal bounds of a trace at a vertex give the trace back. The
-    visit stops once every nonempty subset is present.
+    The points are in word_key order. Each trace maps to the first trie
+    vertex in word_key order that cuts it out, with the componentwise-
+    minimal bounds there; witnesses found at one vertex share its
+    translate. The visit stops once every subset is present.
     """
+    pts = sorted(set(points), key=word_key)
+    _common_rank(pts)
+    if len(pts) > cap:
+        raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
+    trie = _PrefixTrie.of(pts)
     full = (1 << trie.n) - 1
-    family: dict[int, tuple[int, tuple[int, ...]]] = {}
-    rows = trie.rows()
-    words = trie.words
+    traces = {0: _empty_trace_spec(pts)}
+    rows, words = trie.rows(), trie.words
     for c in sorted(range(len(words)), key=lambda c: (len(words[c]), words[c])):
-        row = rows[c]
+        row, vertex = rows[c], None
         for t in _vertex_traces(row, full):
-            if t not in family:
+            if t not in traces:
+                if vertex is None:
+                    vertex = trie.vertex(c)
                 kept = [j for j in range(trie.n) if t >> j & 1]
-                family[t] = (c, tuple(max(values[j] for j in kept) for values in row))
-        if len(family) == full:
+                bounds = tuple(max(values[j] for j in kept) for values in row)
+                traces[t] = FProgressionSpec(bounds, vertex)
+        if len(traces) > full:
             break
-    return family
+    return ShatterReport(tuple(pts), traces)
 
 
 def cuts_out_free(
@@ -611,48 +623,11 @@ def cuts_out_free(
 ) -> Optional[FProgressionSpec]:
     """A translated progression whose trace on the points is exactly the
     subset, or None if no translate achieves it."""
-    pts = sorted(set(points), key=word_key)
-    _common_rank(pts)
-    if len(pts) > cap:
-        raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
+    report = is_shattered_free(points, cap)
     sub = set(subset)
-    if not sub <= set(pts):
+    if not sub <= report.target:
         raise DomainError("subset must be contained in the point set")
-    if not sub:
-        return _empty_trace_spec(pts)
-    want = sum(1 << j for j, x in enumerate(pts) if x in sub)
-    trie = _PrefixTrie.of(pts)
-    hit = _trace_family(trie).get(want)
-    if hit is None:
-        return None
-    return FProgressionSpec(hit[1], trie.vertex(hit[0]))
-
-
-def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> ShatterReport:
-    """Exhaustive shattering check against all translated progressions."""
-    pts = sorted(set(points), key=word_key)
-    _common_rank(pts)
-    if len(pts) > cap:
-        raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
-    trie = _PrefixTrie.of(pts)
-    family = _trace_family(trie)
-    vertices = {c: trie.vertex(c) for c, _ in family.values()}
-    n = len(pts)
-    witnesses = {frozenset(): _empty_trace_spec(pts)}
-    missing = []
-    for want in range(1, 1 << n):
-        sub = frozenset(pts[j] for j in range(n) if want >> j & 1)
-        hit = family.get(want)
-        if hit is None:
-            missing.append(sub)
-        else:
-            witnesses[sub] = FProgressionSpec(hit[1], vertices[hit[0]])
-    return ShatterReport(
-        target=frozenset(pts),
-        shattered=not missing,
-        missing=tuple(missing),
-        witnesses=witnesses,
-    )
+    return report.traces.get(sum(1 << j for j, x in enumerate(report.points) if x in sub))
 
 
 def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[frozenset, ...]]]:

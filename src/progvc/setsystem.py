@@ -1,9 +1,8 @@
 """Finite set systems, shattering, and exact VC dimension.
 
 A system is a finite ground sequence of distinct hashable points together
-with a family of subsets. Subsets are stored as integer bitmasks over
-ground indices, so membership tests and trace computations are single
-AND operations regardless of ground size (Python integers grow as needed).
+with a family of subsets, stored as integer bitmasks over ground indices,
+so membership tests and traces are single AND operations.
 
 The exact searches (``shatters``, ``vc_dimension_exact``,
 ``shatter_function``) share one engine on the transposed family: column i
@@ -14,13 +13,16 @@ indices, and appending a point splits each cell X into ``X & col`` and
 set is its number of cells, so an s-set is shattered iff it has 2^s cells.
 The VC search extends only shattered sets; the shatter function prunes
 every subtree whose cells, doubled once per remaining point, cannot beat
-the best count.
+the best count. A ``ShatterReport`` keeps each realized trace as a mask
+over the target's points and renders its report from the masks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -31,58 +33,74 @@ DEFAULT_TARGET_CAP = 20
 DEFAULT_WORK_CAP = 2_000_000
 
 
-def _canonical_key(points: frozenset) -> tuple:
-    return (len(points), sorted(map(repr, points)))
-
-
 @dataclass(frozen=True)
 class ShatterReport:
     """Outcome of testing whether a family shatters a target set.
 
-    ``witnesses`` maps each realized subset of the target to one witness
-    (the first in canonical order); ``missing`` lists the subsets no member
-    cuts out. The witness type depends on the producer: set-system checks
-    store family members, progression checks store progression specs.
+    ``traces`` maps each realized subset of the target ``points``, as a
+    bitmask with bit j for ``points[j]``, to one witness: a family member
+    for set systems, a progression spec for free groups. The frozenset
+    views ``target``, ``witnesses`` (mask order) and ``missing`` (mask
+    order, or canonical with ``canonical_missing``) are built on use.
     """
 
-    target: frozenset
-    shattered: bool
-    missing: tuple = ()
-    witnesses: dict = field(default_factory=dict)
+    points: tuple
+    traces: dict
+    canonical_missing: bool = False
+
+    @property
+    def shattered(self) -> bool:
+        return len(self.traces) == 1 << len(self.points)
 
     @property
     def verdict(self) -> str:
         return "shattered" if self.shattered else "not-shattered"
 
+    @property
+    def target(self) -> frozenset:
+        return frozenset(self.points)
+
+    def _subset(self, mask: int) -> frozenset:
+        return frozenset(p for j, p in enumerate(self.points) if mask >> j & 1)
+
+    def _canonical(self) -> list:
+        # Masks by size, then by sorted reprs: combinations of the points
+        # ranked by repr.
+        rep = [repr(p) for p in self.points]
+        bits = [1 << j for j in sorted(range(len(rep)), key=rep.__getitem__)]
+        return [m for k in range(len(bits) + 1) for m in map(sum, combinations(bits, k))]
+
+    @functools.cached_property
+    def witnesses(self) -> dict:
+        return {self._subset(m): self.traces[m] for m in sorted(self.traces)}
+
+    @functools.cached_property
+    def missing(self) -> tuple:
+        order = self._canonical() if self.canonical_missing else range(1 << len(self.points))
+        return tuple(self._subset(m) for m in order if m not in self.traces)
+
     def to_json(self, witness_json=None) -> dict:
-        """Subsets as sorted ``str`` lists, listed in ``_canonical_key`` order.
+        """Subsets as sorted ``str`` lists, in canonical order.
 
-        Every subset is drawn from the target, so ``str`` and ``repr`` run
-        once per target point and each subset is rendered from those two
-        lookups. The listing order stays keyed on ``repr``, not ``str``:
-        the two orders differ for generic labels (``"a!"`` sorts before
-        ``"a"`` by ``repr``, since ``!`` is below the closing quote), and
-        reports must keep their bytes.
+        Adding the points in ``str`` order to every mask so far gives each
+        subset's list once. The order stays keyed on ``repr``, not ``str``:
+        they differ for generic labels (``"a!"`` sorts before ``"a"`` by
+        ``repr``), and reports must keep their bytes.
         """
-        text = {p: str(p) for p in self.target}
-        rep = {p: repr(p) for p in self.target}
-
-        def enc(subset):
-            return sorted([text[p] for p in subset])
-
-        def key(subset):
-            return (len(subset), sorted([rep[p] for p in subset]))
-
+        text = [str(p) for p in self.points]
+        masks, lists = [0], [[]]
+        for j in sorted(range(len(text)), key=text.__getitem__):
+            masks += [m | 1 << j for m in masks]
+            lists += [s + [text[j]] for s in lists]
+        enc = dict(zip(masks, lists))
         if witness_json is None:
             witness_json = lambda w: sorted(map(str, w))
+        order, traces = self._canonical(), self.traces
         return {
-            "target": enc(self.target),
+            "target": list(lists[-1]),
             "verdict": self.verdict,
-            "missing": [enc(m) for m in sorted(self.missing, key=key)],
-            "witnesses": [
-                {"subset": enc(s), "witness": witness_json(w)}
-                for s, w in sorted(self.witnesses.items(), key=lambda kv: key(kv[0]))
-            ],
+            "missing": [enc[m] for m in order if m not in traces],
+            "witnesses": [{"subset": enc[m], "witness": witness_json(traces[m])} for m in order if m in traces],
         }
 
 
@@ -161,6 +179,8 @@ class SetSystem:
             family = list(obj["family"])
         except (KeyError, TypeError) as exc:
             raise DomainError("set system JSON needs 'ground' and 'family' keys") from exc
+        if any(isinstance(p, (list, dict)) for p in ground):
+            raise DomainError("ground labels must be JSON scalars, not lists or objects")
         n = len(ground)
         masks = []
         for member in family:
@@ -215,11 +235,11 @@ def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARG
     """Exhaustive shattering check over all subsets of the target.
 
     The family is partitioned by trace on the target one column at a time;
-    each cell is tagged with its trace, and its lowest family index is the
-    first witness in ``sys.masks`` order.
+    each cell is tagged with its trace, a mask over the target's points in
+    ground order, and its lowest family index is the first witness in
+    ``sys.masks`` order.
     """
-    tpoints = frozenset(target)
-    tmask = sys.mask_of(tpoints)
+    tmask = sys.mask_of(target)
     t = bin(tmask).count("1")
     if t > cap:
         raise ResourceLimitError(f"target of size {t} exceeds shatter cap {cap}")
@@ -236,22 +256,8 @@ def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARG
             if inside != x:
                 split.append((small, x ^ inside))
         cells = split
-    first_witness = {small: sys.masks[(x & -x).bit_length() - 1] for small, x in cells}
-
-    witnesses = {}
-    missing = []
-    for small in range(1 << t):
-        sub = frozenset(sys.ground[bits[j]] for j in range(t) if small >> j & 1)
-        if small in first_witness:
-            witnesses[sub] = sys.points_of(first_witness[small])
-        else:
-            missing.append(sub)
-    return ShatterReport(
-        target=tpoints,
-        shattered=not missing,
-        missing=tuple(sorted(missing, key=_canonical_key)),
-        witnesses=witnesses,
-    )
+    traces = {small: sys.points_of(sys.masks[(x & -x).bit_length() - 1]) for small, x in cells}
+    return ShatterReport(tuple(sys.ground[b] for b in bits), traces, canonical_missing=True)
 
 
 def vc_dimension_exact(

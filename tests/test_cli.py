@@ -77,6 +77,12 @@ LEAF_ONLY_SETS = {
         "1^1*2^-1*3^-1*2^-1,1^1*2^1*1^1,2^2*3^2,2^1*3^1,3^2*2^-1",
     ),
 }
+# Two more sets, rendered the same way: the README's shattered rank-2 set,
+# and a rank-1 line whose gap leaves subsets uncut.
+FREE_SHATTER_SETS = LEAF_ONLY_SETS | {
+    "rank-2 shattered": (2, "1^10,2^-10,1^-5,2^5*1^3"),
+    "rank-1 gap": (1, "1^0,1^5,1^10"),
+}
 FREE_SHATTER_DIGESTS = {
     ("rank-2 8-point", "json"):
         "c54123d92616a3a9dde6f5ba9c1c54a74a15908e2f18485dfa458ebddca50c1b",
@@ -90,6 +96,24 @@ FREE_SHATTER_DIGESTS = {
         "c2388a9f294aa0455aa0d19dafdeda7999ad1df69803cca3a26e5596af7a11a8",
     ("rank-3 9-point", "text"):
         "c81c5dd28404d4ae26f46f9e42c9eb37e33d72a00c05c517f515dc7509ee130d",
+    ("rank-2 shattered", "json"):
+        "af3aa3d2de450754216c8de3ea223bcba273b0ed8338b0e477dcf4ed53f2bc09",
+    ("rank-2 shattered", "text"):
+        "bd15aa05af37ba53e6303e8f2cd2cfba5957490dc790a3161cd43ff7eb193a73",
+    ("rank-1 gap", "json"):
+        "18f20c012b973f3187fea5007e96fce9a6d233bfae1de003a54841d93f64f7a2",
+    ("rank-1 gap", "text"):
+        "227bdd88c2e44997f4903c8313e626b2beb0d28a96117719b3f331cbc6f0aa90",
+}
+
+# A 6-point system whose labels sort differently by str and by repr ("a!"
+# comes before "a" by repr, after it by str), with every third subset of
+# the ground as a member. sha256 of the `setsystem shatter` report bytes as
+# the renderer that sorted every subset produced them.
+SORT_LABELS = ["a", "a!", "a b", "a'", "b", "A"]
+SETSYSTEM_SHATTER_DIGESTS = {
+    "json": "62e94829c8fb5436a034861deeffe9ba80876407140753d648a5b195a4d14a6e",
+    "text": "bdc2c92916d22416783521eadb44c5996cb5b58cd912ee8a833129e66b209595",
 }
 
 
@@ -263,7 +287,7 @@ def test_free_shatter_rejects_bad_token(capsys):
 
 @pytest.mark.parametrize("name, fmt", sorted(FREE_SHATTER_DIGESTS))
 def test_free_shatter_report_digests(capsys, name, fmt):
-    rank, points = LEAF_ONLY_SETS[name]
+    rank, points = FREE_SHATTER_SETS[name]
     code, out = run(capsys, "free", "shatter", "--k", str(rank), "--points", points, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FREE_SHATTER_DIGESTS[name, fmt]
@@ -442,6 +466,17 @@ def test_setsystem_result_digests(capsys, tmp_path, command):
     assert digest == SETSYSTEM_RESULT_DIGESTS[command]
 
 
+@pytest.mark.parametrize("fmt", sorted(SETSYSTEM_SHATTER_DIGESTS))
+def test_setsystem_shatter_report_digests(capsys, tmp_path, monkeypatch, fmt):
+    family = [[i for i in range(6) if m >> i & 1] for m in range(0, 64, 3)]
+    (tmp_path / "labels.json").write_text(json.dumps({"ground": SORT_LABELS, "family": family}))
+    monkeypatch.chdir(tmp_path)
+    target = ",".join(SORT_LABELS)
+    code, out = run(capsys, "setsystem", "shatter", "--file", "labels.json", "--target", target, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SETSYSTEM_SHATTER_DIGESTS[fmt]
+
+
 def test_setsystem_vc_over_cap_names_certified_partial(capsys, tmp_path):
     path = tmp_path / "powerset5.json"
     family = [[i for i in range(5) if m >> i & 1] for m in range(32)]
@@ -457,6 +492,32 @@ def test_setsystem_vc_over_cap_names_certified_partial(capsys, tmp_path):
 
 def test_setsystem_missing_file(capsys):
     assert main(["setsystem", "vc", "--file", "/nonexistent.json"]) == 2
+
+
+def run_stderr(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("ground", [[[1], [2]], [{"a": 1}, 2]], ids=["list", "object"])
+@pytest.mark.parametrize("flags", [["vc"], ["pi", "--n", "1"], ["shatter", "--target", "2"]], ids=lambda f: f[0])
+def test_setsystem_rejects_list_and_object_labels(capsys, tmp_path, ground, flags):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"ground": ground, "family": [[0]]}))
+    code, out, err = run_stderr(capsys, "setsystem", flags[0], "--file", str(path), *flags[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ground labels") and err.count("\n") == 1
+
+
+def test_setsystem_shatter_refuses_a_target_label_that_names_two_points(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"ground": [1, "1", 2], "family": [[0], [1, 2]]}))
+    code, out, err = run_stderr(capsys, "setsystem", "shatter", "--file", str(path), "--target", "2,1")
+    assert (code, out) == (2, "")
+    assert err == "error: '1' names 2 ground points, not one\n"
+    code, report = run_json(capsys, "setsystem", "shatter", "--file", str(path), "--target", "2")
+    assert code == 0 and report["result"]["target"] == ["2"]
 
 
 def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
@@ -674,16 +735,28 @@ COMMON = {
 }
 
 
+# A well-formed system, then malformed ones: a list label, a family index
+# past the ground, and labels 0 and "0" that share their text.
+FUZZ_SYSTEMS = [
+    {"ground": ["0", "1", "2", "3"], "family": [[0, 1], [1, 2], [2, 3], [3]]},
+    {"ground": ["0", [1], "2"], "family": [[0, 2]]},
+    {"ground": ["0", "1"], "family": [[0, 2]]},
+    {"ground": [0, "0", "1"], "family": [[0], [1, 2]]},
+]
+
+
 @pytest.fixture(scope="module")
-def fuzz_system(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "system.json"
-    system = {"ground": ["0", "1", "2", "3"], "family": [[0, 1], [1, 2], [2, 3], [3]]}
-    path.write_text(json.dumps(system))
-    return str(path)
+def fuzz_systems(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = [str(folder / f"system{i}.json") for i in range(len(FUZZ_SYSTEMS))]
+    for path, system in zip(paths, FUZZ_SYSTEMS):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(system, fh)
+    return paths + [paths[0] + ".missing"]
 
 
 @st.composite
-def argvs(draw, system_file):
+def argvs(draw, system_files):
     group, cmd = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[group, cmd]
     chosen = dict(required)
@@ -698,7 +771,7 @@ def argvs(draw, system_file):
     argv = [group, cmd]
     for flag, values in chosen.items():
         if flag == "--file":
-            values = st.sampled_from([system_file, system_file + ".missing"])
+            values = st.sampled_from(system_files)
         if values is None:
             argv.append(flag)
         elif flag == spaced:
@@ -715,8 +788,8 @@ def argvs(draw, system_file):
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_generated_argv_keeps_the_exit_contract(fuzz_system, data):
-    argv = data.draw(argvs(fuzz_system))
+def test_generated_argv_keeps_the_exit_contract(fuzz_systems, data):
+    argv = data.draw(argvs(fuzz_systems))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

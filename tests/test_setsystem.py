@@ -1,6 +1,7 @@
 """Tests for finite set systems, shattering, and exact VC dimension."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from progvc import setsystem
 from progvc.bounds import capital_c
 from progvc.errors import DomainError, ResourceLimitError
+from progvc.freegroup import is_shattered_free, sample_point_set
 from progvc.setsystem import (
     DEFAULT_TARGET_CAP,
     DEFAULT_WORK_CAP,
@@ -378,6 +380,13 @@ def test_shatters_matches_first_witness_scan(sys_, data):
     everything = {frozenset(s) for s in _powerset(points)}
     assert report.witnesses == first
     assert set(report.missing) == everything - set(first)
+    # Witnesses in mask order over the target in ground order, missing
+    # subsets by size and then by their sorted reprs.
+    bits = sorted(target)
+    by_mask = [frozenset(sys_.ground[b] for j, b in enumerate(bits) if m >> j & 1) for m in range(1 << len(bits))]
+    assert list(report.witnesses) == [s for s in by_mask if s in first]
+    canonical = sorted(everything - set(first), key=lambda s: (len(s), sorted(map(repr, s))))
+    assert list(report.missing) == canonical
 
 
 @given(rich_systems())
@@ -431,28 +440,39 @@ LABELS = st.one_of(
 
 @st.composite
 def shatter_reports(draw):
-    target = draw(st.frozensets(LABELS, max_size=6))
-    points = sorted(target, key=repr)
-    subsets = st.builds(
-        lambda mask: frozenset(p for i, p in enumerate(points) if mask >> i & 1),
-        st.integers(0, 2 ** len(points) - 1),
-    )
-    missing = draw(st.lists(subsets, unique=True, max_size=12))
-    witnesses = draw(st.dictionaries(subsets, st.frozensets(LABELS, max_size=3), max_size=12))
-    return ShatterReport(target, not missing, tuple(missing), witnesses)
+    points = tuple(draw(st.lists(LABELS, unique=True, max_size=6)))
+    masks = st.integers(0, 2 ** len(points) - 1)
+    traces = draw(st.dictionaries(masks, st.frozensets(LABELS, max_size=3)))
+    return ShatterReport(points, traces, draw(st.booleans()))
 
 
 @given(shatter_reports(), st.booleans())
 @example(
     ShatterReport(
-        frozenset({"a", "a!", "a b"}),
-        True,
-        witnesses={
-            frozenset(s): frozenset(s) for s in _powerset({"a", "a!", "a b"})
-        },
+        ("a", "a!", "a b"),
+        {m: frozenset(p for j, p in enumerate(("a", "a!", "a b")) if m >> j & 1) for m in range(8)},
     ),
     False,
 )
 def test_shatter_report_to_json_matches_reference(report, text_witness):
     witness_json = str if text_witness else None
+    assert report.to_json(witness_json) == reference_to_json(report, witness_json)
+
+
+@st.composite
+def produced_reports(draw):
+    # Reports as the two producers build them: a set-system check on
+    # labels whose str and repr orders disagree, or a free-group check.
+    if draw(st.booleans()):
+        ground = draw(st.lists(LABELS, unique=True, max_size=7))
+        fam = draw(st.lists(st.integers(0, 2 ** len(ground) - 1), max_size=20))
+        target = draw(st.sets(st.sampled_from(ground))) if ground else set()
+        return shatters(SetSystem.from_masks(ground, fam), target), None
+    rank, size, seed = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(0, 10**6))
+    return is_shattered_free(sample_point_set(random.Random(seed), rank, size, 4)), str
+
+
+@given(produced_reports())
+def test_produced_reports_render_as_the_reference(produced):
+    report, witness_json = produced
     assert report.to_json(witness_json) == reference_to_json(report, witness_json)
