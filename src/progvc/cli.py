@@ -335,6 +335,22 @@ def _load_system(path: str) -> setsystem.SetSystem:
 
 
 def _resolve_labels(sys_: setsystem.SetSystem, text: str) -> list:
+    """Ground points named by ``--target``: a JSON array of ground labels,
+    or comma-separated tokens, each stripped and matched to one label's text."""
+    if text.lstrip().startswith("["):
+        try:
+            names = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"--target is not a valid JSON array: {exc}") from None
+        # Keyed by JSON text, so 1, "1" and true stay apart.
+        by_json = {json.dumps(label): label for label in sys_.ground}
+        out = []
+        for name in names:
+            key = json.dumps(name)
+            if key not in by_json:
+                raise DomainError(f"{key} is not a ground label")
+            out.append(by_json[key])
+        return out
     by_text = {}
     for label in sys_.ground:
         by_text.setdefault(str(label), []).append(label)
@@ -505,7 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_setsystem_vc)
     p = s.add_parser("shatter", parents=[common], help="shattering report for a target")
     p.add_argument("--file", required=True)
-    p.add_argument("--target", required=True, help="comma-separated ground labels")
+    p.add_argument(
+        "--target", required=True, help="comma-separated ground labels, or a JSON array of them"
+    )
     p.add_argument("--cap", type=int, default=setsystem.DEFAULT_TARGET_CAP)
     p.set_defaults(func=cmd_setsystem_shatter)
     p = s.add_parser("pi", parents=[common], help="shatter function value")
@@ -594,6 +612,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.threads = _env_threads()
         if args.threads < 1:
             raise DomainError("--threads must be at least 1")
+        if getattr(args, "cap", 0) < 0:
+            raise DomainError("--cap must be at least 0")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

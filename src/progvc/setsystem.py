@@ -4,17 +4,28 @@ A system is a finite ground sequence of distinct hashable points together
 with a family of subsets, stored as integer bitmasks over ground indices,
 so membership tests and traces are single AND operations.
 
-The exact searches (``shatters``, ``vc_dimension_exact``,
-``shatter_function``) share one engine on the transposed family: column i
-is the bitmask of family indices whose member contains ground point i. The
-members with equal trace on a point set form a cell, an int over family
-indices, and appending a point splits each cell X into ``X & col`` and
-``X ^ (X & col)``, keeping the nonempty parts. The number of traces on a
-set is its number of cells, so an s-set is shattered iff it has 2^s cells.
-The VC search extends only shattered sets; the shatter function prunes
-every subtree whose cells, doubled once per remaining point, cannot beat
-the best count. A ``ShatterReport`` keeps each realized trace as a mask
-over the target's points and renders its report from the masks.
+The exact searches work on the transposed family, one column per ground
+point, in two representations chosen by what each question needs.
+
+``shatters`` and ``vc_dimension_exact`` ask whether a set is shattered. They
+keep the members with equal trace on a point set as a cell, an int over
+family indices; column i is the bitmask of family indices whose member
+contains ground point i. Appending a point splits each cell X into
+``X & col`` and ``X ^ (X & col)``, and an s-set is shattered iff it has 2^s
+cells. The VC search extends only shattered sets, so it stops at the first
+cell a point leaves whole, usually after a few cells.
+
+``shatter_function`` needs the full trace count at every node of its walk,
+so it keeps each member's trace as a byte in one int over the members:
+column i holds a 0/1 byte per member, shifted left by the point's depth
+mod 8. Appending a point is one OR, and counting traces is one C-level
+count of distinct bytes, or of distinct byte tuples once more than 8
+points are chosen, where a cell list would take one Python step per cell.
+It prunes every subtree whose count, doubled once per remaining point,
+cannot beat the best count.
+
+A ``ShatterReport`` keeps each realized trace as a mask over the target's
+points and renders its report from the masks.
 """
 
 from __future__ import annotations
@@ -184,9 +195,14 @@ class SetSystem:
         n = len(ground)
         masks = []
         for member in family:
+            if not isinstance(member, list):
+                raise DomainError(f"family member {member!r} is not a list of indices")
             mask = 0
             for i in member:
-                if not isinstance(i, int) or not 0 <= i < n:
+                # JSON true and false load as bools, which are ints.
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise DomainError(f"family index {i!r} is not an integer")
+                if not 0 <= i < n:
                     raise DomainError(f"family index {i!r} out of range for ground of size {n}")
                 mask |= 1 << i
             masks.append(mask)
@@ -217,18 +233,6 @@ def _columns(sys: SetSystem) -> list:
             cols[low.bit_length() - 1] |= 1 << k
             m ^= low
     return cols
-
-
-def _refine(cells: list, col: int) -> list:
-    """Split each cell of family indices by membership in ``col``; keep the nonempty parts."""
-    out = []
-    for x in cells:
-        inside = x & col
-        if inside:
-            out.append(inside)
-        if inside != x:
-            out.append(x ^ inside)
-    return out
 
 
 def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARGET_CAP) -> ShatterReport:
@@ -308,7 +312,7 @@ def vc_dimension_exact(
             continue
         stack.append((cells, d, j + 1))
         col = cols[j]
-        # _refine inlined, stopping at the first cell the point leaves whole.
+        # Split every cell, stopping at the first one the point leaves whole.
         split = []
         for x in cells:
             inside = x & col
@@ -331,11 +335,16 @@ def vc_dimension_exact(
 def shatter_function(sys: SetSystem, n: int, work_cap: int = DEFAULT_WORK_CAP) -> int:
     """Maximum number of distinct traces over any n-point subset of the ground.
 
-    A depth-first walk of the n-subsets refines the partition of the family
-    by trace one column at a time; a leaf's trace count is its number of
-    cells. Each appended point at most doubles the cells, so a node with c
-    cells at depth d is skipped once min(c * 2^(n-d), |F|) cannot beat the
-    best count, and the walk stops at min(2^n, |F|).
+    A depth-first walk of the n-subsets keeps, per node, each member's trace
+    on the node's points as a code in the byte lanes of one int: byte k is
+    member k's trace on the points chosen since the last multiple of 8, and
+    each earlier run of 8 points is frozen as a ``bytes`` plane. Appending
+    the point at depth d ORs in its 0/1 byte column shifted by d mod 8. The
+    node's trace count is the number of distinct bytes until a plane is
+    frozen, and of distinct byte tuples across planes and lane after. Each
+    appended point at most doubles the count, so a node with c traces at
+    depth d is skipped once min(c * 2^(n-d), |F|) cannot beat the best
+    count, and the walk stops at min(2^n, |F|).
     """
     g = len(sys.ground)
     if not 0 <= n <= g:
@@ -345,24 +354,47 @@ def shatter_function(sys: SetSystem, n: int, work_cap: int = DEFAULT_WORK_CAP) -
     size = len(sys.masks)
     if n == 0 or size == 0:
         return min(size, 1)
-    cols = _columns(sys)
+    cols = [int.from_bytes(bytes(m >> i & 1 for m in sys.masks), "little") for i in range(g)]
+    shifted = [[c << r for c in cols] for r in range(min(n, 8))]
     best = 0
-    # Stack of (cells, depth, next point), one entry per depth, so n is not
-    # bounded by the recursion limit; a child is pushed after its parent's
-    # next sibling, so the walk stays depth-first.
-    stack = [([(1 << size) - 1], 0, 0)]
+    # Stack of (codes, planes, traces, depth, next point), one entry per
+    # depth, so n is not bounded by the recursion limit; a child is pushed
+    # after its parent's next sibling, so the walk stays depth-first.
+    stack = [(0, (), 1, 0, 0)]
     while stack:
-        cells, d, j = stack.pop()
-        if j > g - n + d or min(len(cells) << (n - d), size) <= best:
+        codes, planes, c, d, j = stack.pop()
+        if j > g - n + d or min(c << (n - d), size) <= best:
             continue
-        stack.append((cells, d, j + 1))
-        col = cols[j]
-        if d + 1 < n:
-            stack.append((_refine(cells, col), d + 1, j + 1))
+        if d + 1 == n:
+            # The leaves under this node, until one reaches its bound.
+            bound = min(c << 1, size)
+            for col in shifted[d & 7][j : g - n + d + 1]:
+                t = _count_traces(planes, (codes | col).to_bytes(size, "little"))
+                if t > best:
+                    best = t
+                    if best >= bound:
+                        break
+            continue
+        stack.append((codes, planes, c, d, j + 1))
+        codes |= shifted[d & 7][j]
+        lane = codes.to_bytes(size, "little")
+        c = _count_traces(planes, lane)
+        if d & 7 == 7:
+            stack.append((0, planes + (lane,), c, d + 1, j + 1))
         else:
-            # A leaf: count the cells col splits in two instead of building them.
-            best = max(best, len(cells) + sum(1 for x in cells if 0 != x & col != x))
+            stack.append((codes, planes, c, d + 1, j + 1))
     return best
+
+
+_BYTE_VALUES = bytes(range(256))
+
+
+def _count_traces(planes: tuple, lane: bytes) -> int:
+    """Distinct traces of the members, given the frozen planes and the
+    current byte lane: a member's trace is its byte in each."""
+    if planes:
+        return len(set(zip(*planes, lane)))
+    return 256 - len(_BYTE_VALUES.translate(None, lane))
 
 
 def complement_system(sys: SetSystem) -> SetSystem:

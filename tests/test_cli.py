@@ -520,6 +520,73 @@ def test_setsystem_shatter_refuses_a_target_label_that_names_two_points(capsys, 
     assert code == 0 and report["result"]["target"] == ["2"]
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ([[True], [False, True]], "error: family index True is not an integer\n"),
+        ([[0], 1], "error: family member 1 is not a list of indices\n"),
+    ],
+    ids=["bool-index", "bare-index"],
+)
+@pytest.mark.parametrize("flags", [["vc"], ["pi", "--n", "1"], ["shatter", "--target", "a"]], ids=lambda f: f[0])
+def test_setsystem_rejects_family_entries_that_are_not_index_lists(capsys, tmp_path, family, message, flags):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"ground": ["a", "b"], "family": family}))
+    code, out, err = run_stderr(capsys, "setsystem", flags[0], "--file", str(path), *flags[1:])
+    assert (code, out, err) == (2, "", message)
+
+
+def test_setsystem_shatter_target_as_a_json_array(capsys, tmp_path):
+    path = tmp_path / "labels.json"
+    ground = [" a", "b,c", "d", 1, "1", None]
+    path.write_text(json.dumps({"ground": ground, "family": [[0], [1, 2], [3, 5]]}))
+    file = ["setsystem", "shatter", "--file", str(path)]
+    code, report = run_json(capsys, *file, "--target", '[" a", "b,c"]')
+    assert code == 0 and report["result"]["target"] == [" a", "b,c"]
+    assert report["result"]["witnesses"][-1] == {"subset": ["b,c"], "witness": ["b,c", "d"]}
+    # JSON values, not their text: 1 and "1" are different labels.
+    code, report = run_json(capsys, *file, "--target", "[1, null]")
+    assert code == 0 and report["result"]["verdict"] == "not-shattered"
+    assert report["result"]["witnesses"] == [
+        {"subset": [], "witness": [" a"]},
+        {"subset": ["1", "None"], "witness": ["1", "None"]},
+    ]
+    code, report = run_json(capsys, *file, "--target", ' ["1"]')
+    assert code == 0 and report["result"]["missing"] == [["1"]]
+    # The comma form strips and splits its tokens, as before.
+    code, report = run_json(capsys, *file, "--target", " d ")
+    assert code == 0 and report["result"]["target"] == ["d"]
+    for target, message in [
+        ("b,c", "error: 'b' names 0 ground points, not one\n"),
+        ("[2]", "error: 2 is not a ground label\n"),
+        ('["1", true]', "error: true is not a ground label\n"),
+        ('{"d": 1}', "error: '{\"d\": 1}' names 0 ground points, not one\n"),
+    ]:
+        assert run_stderr(capsys, *file, "--target", target) == (2, "", message)
+    code, out, err = run_stderr(capsys, *file, "--target", "[d]")
+    assert (code, out) == (2, "") and err.startswith("error: --target is not a valid JSON array")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["setsystem", "vc", "--file", "missing.json"],
+        ["setsystem", "shatter", "--file", "missing.json", "--target", "0"],
+        ["free", "shatter", "--k", "2", "--points", "1^1"],
+        ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
+        ["heisenberg", "enumerate", "--n1", "1", "--n2", "1"],
+        ["heisenberg", "verify", "--nmax", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_negative_cap_is_bad_input_not_a_resource_limit(capsys, tmp_path, argv):
+    assert run_stderr(capsys, *argv, "--cap", "-1") == (2, "", "error: --cap must be at least 0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cap": -2}))
+    assert run_stderr(capsys, *argv, "--config", str(cfg)) == (2, "", "error: --cap must be at least 0\n")
+
+
 def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "text"}))
@@ -687,6 +754,10 @@ FREE_WORD = st.one_of(
 )
 FREE_POINTS = st.lists(FREE_WORD, min_size=1, max_size=4).map(",".join)
 INT_LIST = st.lists(st.sampled_from(["-1", "0", "1", "2", "3", "x", ""]), max_size=3).map(",".join)
+JSON_LABELS = st.one_of(
+    st.lists(st.sampled_from(["0", "3", "x", 0, None, True, [1]]), max_size=3).map(json.dumps),
+    st.sampled_from(["[", "[0", "[]", ' ["1"]']),
+)
 TRIPLE = st.one_of(
     st.lists(st.integers(-2, 2).map(str), min_size=3, max_size=3).map(",".join),
     st.sampled_from(["", "1,2", "a,b,c", "1,2,3,4"]),
@@ -726,7 +797,9 @@ COMMANDS = {
     ("free", "witness"): ({"--k": SMALL, "--bounds": INT_LIST}, {"--subset": INT_LIST}),
     ("free", "tripod"): ({"--k": SMALL, "--points": FREE_POINTS}, {}),
     ("setsystem", "vc"): ({"--file": None}, {"--cap": SMALL}),
-    ("setsystem", "shatter"): ({"--file": None, "--target": INT_LIST}, {"--cap": SMALL}),
+    ("setsystem", "shatter"): (
+        {"--file": None, "--target": st.one_of(INT_LIST, JSON_LABELS)}, {"--cap": SMALL}
+    ),
     ("setsystem", "pi"): ({"--file": None, "--n": SMALL}, {}),
 }
 COMMON = {
@@ -736,12 +809,15 @@ COMMON = {
 
 
 # A well-formed system, then malformed ones: a list label, a family index
-# past the ground, and labels 0 and "0" that share their text.
+# past the ground, labels 0 and "0" that share their text, bool family
+# indices and a family member that is not a list.
 FUZZ_SYSTEMS = [
     {"ground": ["0", "1", "2", "3"], "family": [[0, 1], [1, 2], [2, 3], [3]]},
     {"ground": ["0", [1], "2"], "family": [[0, 2]]},
     {"ground": ["0", "1"], "family": [[0, 2]]},
     {"ground": [0, "0", "1"], "family": [[0], [1, 2]]},
+    {"ground": ["0", "1"], "family": [[True], [False, True]]},
+    {"ground": ["0", "1"], "family": [[0], 1]},
 ]
 
 

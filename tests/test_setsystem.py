@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from progvc import setsystem
 from progvc.bounds import capital_c
@@ -155,14 +155,16 @@ def test_shatter_function_examples():
 
 
 def test_shatter_function_stops_at_first_full_count(monkeypatch):
-    # On a power set the first n-subset already has min(2^n, |F|) traces,
-    # so the walk refines once per inner level and then stops.
+    # The first n-subset already has min(2^n, |F|) traces, so the walk
+    # counts once per depth down to the first leaf and then stops: on a
+    # power set, on a family smaller than 2^n, and past a frozen plane.
     calls = []
-    refine = setsystem._refine
-    monkeypatch.setattr(setsystem, "_refine", lambda cells, col: calls.append(col) or refine(cells, col))
-    sys_ = SetSystem.from_masks(range(6), range(64))
-    assert shatter_function(sys_, 4) == 16
-    assert len(calls) == 3
+    count = setsystem._count_traces
+    monkeypatch.setattr(setsystem, "_count_traces", lambda planes, lane: calls.append(lane) or count(planes, lane))
+    for ground, members, n, value in [(6, 64, 4, 16), (6, 12, 4, 12), (10, 1024, 9, 512)]:
+        calls.clear()
+        assert shatter_function(SetSystem.from_masks(range(ground), range(members)), n) == value
+        assert len(calls) == n
 
 
 def test_complement_of_cosets():
@@ -366,6 +368,38 @@ def test_vc_and_pi_match_level_scans(sys_, cap, work_cap):
         assert outcome(shatter_function, sys_, n, work_cap=work_cap) == outcome(
             level_scan_pi, sys_, n, work_cap=work_cap
         )
+
+
+@st.composite
+def wide_systems(draw):
+    # Grounds of 9-12 points and more than 256 members, so the shatter
+    # function's byte codes fill a first plane and count across two. Half
+    # the time the family holds every subset of one drawn set of at least
+    # 9 points, so pi(n) = 2^n occurs there too.
+    g = draw(st.integers(9, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fam = rng.sample(range(2**g), draw(st.integers(257, min(700, 2**g))))
+    if draw(st.booleans()):
+        base = sum(1 << i for i in rng.sample(range(g), draw(st.integers(9, g))))
+        fam += [m for m in range(2**g) if m & ~base == 0]
+    return SetSystem.from_masks(range(g), fam)
+
+
+@settings(max_examples=30)
+@given(wide_systems(), st.one_of(st.integers(1, 300), st.just(10**9)))
+def test_pi_matches_level_scan_across_byte_planes(sys_, work_cap):
+    assert len(sys_.masks) > 256
+    for n in range(8, len(sys_.ground) + 1):
+        assert outcome(shatter_function, sys_, n, work_cap=work_cap) == outcome(
+            level_scan_pi, sys_, n, work_cap=work_cap
+        )
+
+
+def test_power_set_of_ten_points():
+    sys_ = SetSystem.from_masks(range(10), range(1024))
+    assert shatter_function(sys_, 9) == 512
+    assert shatter_function(sys_, 10) == 1024
+    assert vc_dimension_exact(sys_) == 10
 
 
 @given(rich_systems(), st.data())
