@@ -24,8 +24,6 @@ from .freegroup import (
     DominatingSequence,
     FProgressionSpec,
     FWord,
-    branches,
-    branches_star,
     cuts_out_free,
     dist,
     dist_i,

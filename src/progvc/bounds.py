@@ -13,9 +13,32 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ResourceLimitError
 
-# Scans below are over a condition that is eventually monotone in n, so a
-# ceiling only guards against typos in arguments, not against wrong answers.
-SCAN_CEILING = 10**6
+# Cap on the integers here, in bits: every value prints in fewer digits
+# than Python's default int-to-str limit of 4,300 (14,284 bits). The f and g
+# scans compare against 2**n, so the cap is also their default ceiling on n;
+# their condition is eventually monotone in n, so a ceiling refuses large
+# arguments but never gives a wrong answer.
+MAX_BITS = 12_000
+
+
+def _check_bits(what: str, bits: int) -> None:
+    if bits > MAX_BITS:
+        raise ResourceLimitError(f"{what} may need {bits} bits, past the cap of {MAX_BITS}")
+
+
+def _capital_c_bits(d: int, n: int) -> int:
+    """An upper bound on the bit length of capital_c(d, n) <= min(2**n, (n+1)**d)."""
+    return min(n + 1, d * (n + 1).bit_length())
+
+
+def _capital_c_scan(d: int, ceiling: int):
+    """(n, capital_c(d, n)) for n = 0, 1, ..., ceiling, from
+    C(n+1, <=d) = 2*C(n, <=d) - C(n, d) and C(n+1, d) = C(n, d)*(n+1)/(n+1-d)."""
+    total, top = 1, int(d == 0)
+    for n in range(ceiling + 1):
+        yield n, total
+        total = 2 * total - top
+        top = 1 if n + 1 == d else top * (n + 1) // (n + 1 - d)
 
 
 def capital_c(d: int, n: int) -> int:
@@ -26,10 +49,15 @@ def capital_c(d: int, n: int) -> int:
     """
     if d < 0 or n < 0:
         raise DomainError(f"capital_c requires d >= 0 and n >= 0, got d={d}, n={n}")
-    return sum(math.comb(n, i) for i in range(d + 1))
+    _check_bits(f"capital_c({d}, {n})", _capital_c_bits(d, n))
+    total = term = 1
+    for i in range(min(d, n)):
+        term = term * (n - i) // (i + 1)  # C(n, i + 1)
+        total += term
+    return total
 
 
-def f_bound(d: int, k: int, scan_ceiling: int = SCAN_CEILING) -> int:
+def f_bound(d: int, k: int, scan_ceiling: int = MAX_BITS) -> int:
     """Least n with capital_c(d, n)**k < 2**n.
 
     Controls how many points a k-fold intersection of systems of VC
@@ -38,13 +66,15 @@ def f_bound(d: int, k: int, scan_ceiling: int = SCAN_CEILING) -> int:
     """
     if d < 0 or k < 1:
         raise DomainError(f"f_bound requires d >= 0 and k >= 1, got d={d}, k={k}")
-    for n in range(scan_ceiling + 1):
-        if capital_c(d, n) ** k < 2**n:
+    for n, c in _capital_c_scan(d, scan_ceiling):
+        # c**k < 2**n needs (bit_length(c) - 1) * k < n; test that first, so
+        # no power past about 2n bits is built.
+        if (c.bit_length() - 1) * k < n and c**k < 2**n:
             return n
     raise ResourceLimitError(f"f_bound scan exceeded ceiling {scan_ceiling} for d={d}, k={k}")
 
 
-def g_bound(d: int, k: int, scan_ceiling: int = SCAN_CEILING) -> int:
+def g_bound(d: int, k: int, scan_ceiling: int = MAX_BITS) -> int:
     """k * (n0 - 1) where n0 is the least n with k * capital_c(d, n) < 2**n.
 
     Bounds the VC dimension of a union of k cosets, each carrying a trace
@@ -52,8 +82,8 @@ def g_bound(d: int, k: int, scan_ceiling: int = SCAN_CEILING) -> int:
     """
     if d < 0 or k < 1:
         raise DomainError(f"g_bound requires d >= 0 and k >= 1, got d={d}, k={k}")
-    for n in range(scan_ceiling + 1):
-        if k * capital_c(d, n) < 2**n:
+    for n, c in _capital_c_scan(d, scan_ceiling):
+        if k * c < 2**n:
             return k * (n - 1)
     raise ResourceLimitError(f"g_bound scan exceeded ceiling {scan_ceiling} for d={d}, k={k}")
 
@@ -68,6 +98,9 @@ def km_bound(d: int, l: int, s: int, n: int) -> int:
         raise DomainError(
             f"km_bound requires d, l, s >= 1 and n >= 0, got d={d}, l={l}, s={s}, n={n}"
         )
+    # The sum is at most 2**l * capital_c(l, s*n).
+    bits = d.bit_length() + (l - 1) * (2 * d - 1).bit_length() + l + _capital_c_bits(l, s * n)
+    _check_bits(f"km_bound({d}, {l}, {s}, {n})", bits)
     return d * (2 * d - 1) ** (l - 1) * sum(2**i * math.comb(s * n, i) for i in range(l + 1))
 
 

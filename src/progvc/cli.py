@@ -7,8 +7,8 @@ ran but did not verify, 2 for usage, domain, or resource errors.
 
 A JSON config file may supply defaults for any long flag of the command
 (keys without the leading dashes); each value must be one the flag accepts,
-and flags given on the command line, abbreviated or not, win. The default thread count comes
-from the PROGVC_THREADS environment variable.
+and flags given on the command line, abbreviated or not, win. A report's
+``params`` echo the command's own flags, with their defaults filled in.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from typing import Optional, Sequence
@@ -24,12 +23,8 @@ from typing import Optional, Sequence
 from . import bounds, fixture_f2, freegroup, heisenberg, setsystem
 from .errors import DomainError, ResourceLimitError
 
-SCHEMA = "progvc/1"
+SCHEMA = "progvc/2"
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-
-
-def _report(command: str, params: dict, result) -> dict:
-    return {"schema": SCHEMA, "command": command, "params": params, "result": result}
 
 
 def _to_text(obj, indent: int = 0) -> str:
@@ -52,7 +47,15 @@ def _to_text(obj, indent: int = 0) -> str:
     return f"{pad}{obj}"
 
 
-def _emit(args, report: dict, flat_rows: Optional[list] = None) -> None:
+def _emit(args, result, flat_rows: Optional[list] = None) -> None:
+    """Write the command's report; its params are the command's own flags."""
+    params = {
+        dest: getattr(args, dest)
+        for dest in _leaf_options(args)
+        if dest not in ("output", "format", "config")
+    }
+    command = f"{args.group}.{args.cmd}"
+    report = {"schema": SCHEMA, "command": command, "params": params, "result": result}
     if args.format == "csv":
         if flat_rows is None:
             raise DomainError("csv output is only available for flat tables")
@@ -71,17 +74,12 @@ def _emit(args, report: dict, flat_rows: Optional[list] = None) -> None:
         sys.stdout.write(text)
 
 
-def _base_params(args) -> dict:
-    return {"seed": getattr(args, "seed", 0), "threads": args.threads}
-
-
 # ---------------------------------------------------------------- heisenberg
 
 
 def cmd_heisenberg_verify(args) -> int:
     result = heisenberg.verify_cells(args.nmax, cap=args.cap, inject_fault=args.inject_fault)
-    params = _base_params(args) | {"nmax": args.nmax, "inject_fault": args.inject_fault}
-    _emit(args, _report("heisenberg.verify", params, result))
+    _emit(args, result)
     return EXIT_OK if result["mismatch_count"] == 0 else EXIT_FAIL
 
 
@@ -94,16 +92,14 @@ def cmd_heisenberg_member(args) -> int:
         "translate": list(translate),
         "member": heisenberg.membership(spec, point),
     }
-    params = _base_params(args) | {"n1": args.n1, "n2": args.n2}
-    _emit(args, _report("heisenberg.member", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
 def cmd_heisenberg_enumerate(args) -> int:
     points = sorted(heisenberg.enumerate_progression(args.n1, args.n2, cap=args.cap))
     result = {"size": len(points), "points": [list(p) for p in points]}
-    params = _base_params(args) | {"n1": args.n1, "n2": args.n2}
-    _emit(args, _report("heisenberg.enumerate", params, result), flat_rows=[list(p) for p in points])
+    _emit(args, result, flat_rows=[list(p) for p in points])
     return EXIT_OK
 
 
@@ -118,8 +114,7 @@ def cmd_heisenberg_witness(args) -> int:
         "letters_b": n_b,
         "verified": heisenberg.word_eval(word) == point and n_a <= args.n1 and n_b <= args.n2,
     }
-    params = _base_params(args) | {"n1": args.n1, "n2": args.n2}
-    _emit(args, _report("heisenberg.witness", params, result))
+    _emit(args, result)
     return EXIT_OK if result["verified"] else EXIT_FAIL
 
 
@@ -175,14 +170,7 @@ def cmd_heisenberg_search(args) -> int:
         "shattered": shattered,
         "shattered_count": len(shattered),
     }
-    params = _base_params(args) | {
-        "size": args.size,
-        "samples": args.samples,
-        "nmax": args.nmax,
-        "translate_window": window,
-        "point_window": args.point_window,
-    }
-    _emit(args, _report("heisenberg.search", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -190,38 +178,30 @@ def cmd_heisenberg_search(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    check = args.check
-    params = _base_params(args)
-    if check == "cd":
-        result = {"value": bounds.capital_c(args.d, args.n)}
-        params |= {"d": args.d, "n": args.n}
-        verified = True
-    elif check == "f":
-        result = {"value": bounds.f_bound(args.d, args.k)}
-        params |= {"d": args.d, "k": args.k}
-        verified = True
-    elif check == "g":
-        result = {"value": bounds.g_bound(args.d, args.k)}
-        params |= {"d": args.d, "k": args.k}
-        verified = True
-    elif check == "km":
-        result = {"value": bounds.km_bound(args.d, args.l, args.s, args.n)}
-        params |= {"d": args.d, "l": args.l, "s": args.s, "n": args.n}
-        verified = True
+    if args.cmd == "cd":
+        value = bounds.capital_c(args.d, args.n)
+    elif args.cmd == "f":
+        value = bounds.f_bound(args.d, args.k)
+    elif args.cmd == "g":
+        value = bounds.g_bound(args.d, args.k)
     else:
-        translate = bounds.verify_heisenberg_translate_threshold()
-        fixed = bounds.verify_heisenberg_fixed_threshold()
-        result = {"translates": translate.to_json(), "fixed": fixed.to_json()}
-        verified = (
-            translate.holds_at == [268]
-            and translate.fails_at == [267]
-            and translate.bound == 267
-            and fixed.holds_at == [35]
-            and fixed.fails_at == [36]
-            and fixed.bound == 140
-        )
-        result["verified"] = verified
-    _emit(args, _report(f"bounds.{check}", params, result))
+        value = bounds.km_bound(args.d, args.l, args.s, args.n)
+    _emit(args, {"value": value})
+    return EXIT_OK
+
+
+def cmd_bounds_verify_heisenberg(args) -> int:
+    translate = bounds.verify_heisenberg_translate_threshold()
+    fixed = bounds.verify_heisenberg_fixed_threshold()
+    verified = (
+        translate.holds_at == [268]
+        and translate.fails_at == [267]
+        and translate.bound == 267
+        and fixed.holds_at == [35]
+        and fixed.fails_at == [36]
+        and fixed.bound == 140
+    )
+    _emit(args, {"translates": translate.to_json(), "fixed": fixed.to_json(), "verified": verified})
     return EXIT_OK if verified else EXIT_FAIL
 
 
@@ -239,14 +219,12 @@ def cmd_free_shatter(args) -> int:
     points = _parse_point_list(args.k, args.points)
     report = freegroup.is_shattered_free(points, cap=args.cap)
     result = report.to_json(witness_json=str)
-    params = _base_params(args) | {"k": args.k, "cap": args.cap}
-    _emit(args, _report("free.shatter", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
 def cmd_free_example_f2(args) -> int:
     result = fixture_f2.verify_example()
-    params = _base_params(args)
     rows = [["pair", "claimed", "actual", "ok"]] + [
         [
             "|".join(d["pair"]),
@@ -256,7 +234,7 @@ def cmd_free_example_f2(args) -> int:
         ]
         for d in result["distances"]
     ]
-    _emit(args, _report("free.example-f2", params, result), flat_rows=rows)
+    _emit(args, result, flat_rows=rows)
     return EXIT_OK if result["all_ok"] else EXIT_FAIL
 
 
@@ -268,16 +246,8 @@ def cmd_free_search(args) -> int:
         args.seed,
         max_len=args.max_len,
         cap=args.cap,
-        threads=args.threads,
     )
-    params = _base_params(args) | {
-        "k": args.k,
-        "size": args.size,
-        "samples": args.samples,
-        "max_len": args.max_len,
-        "cap": args.cap,
-    }
-    _emit(args, _report("free.search", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -298,8 +268,7 @@ def cmd_free_witness(args) -> int:
         "subset": sorted(subset),
         "verified": True,
     }
-    params = _base_params(args) | {"k": args.k}
-    _emit(args, _report("free.witness", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -315,8 +284,7 @@ def cmd_free_tripod(args) -> int:
             "center": str(center),
             "branches": [sorted(str(v) for v in part) for part in parts],
         }
-    params = _base_params(args) | {"k": args.k}
-    _emit(args, _report("free.tripod", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -372,8 +340,7 @@ def cmd_setsystem_vc(args) -> int:
         "ground_size": len(sys_.ground),
         "family_size": len(sys_),
     }
-    params = _base_params(args) | {"file": args.file, "cap": args.cap}
-    _emit(args, _report("setsystem.vc", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -381,16 +348,14 @@ def cmd_setsystem_shatter(args) -> int:
     sys_ = _load_system(args.file)
     target = _resolve_labels(sys_, args.target)
     report = setsystem.shatters(sys_, target, cap=args.cap)
-    params = _base_params(args) | {"file": args.file, "cap": args.cap}
-    _emit(args, _report("setsystem.shatter", params, report.to_json()))
+    _emit(args, report.to_json())
     return EXIT_OK
 
 
 def cmd_setsystem_pi(args) -> int:
     sys_ = _load_system(args.file)
     result = {"n": args.n, "value": setsystem.shatter_function(sys_, args.n)}
-    params = _base_params(args) | {"file": args.file}
-    _emit(args, _report("setsystem.pi", params, result))
+    _emit(args, result)
     return EXIT_OK
 
 
@@ -408,16 +373,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args fills a fresh namespace and leaves
     # the parser unchanged, and the defaults here depend on nothing that
-    # varies between calls (PROGVC_THREADS is read in main).
+    # varies between calls.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the report to this path instead of stdout")
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="report format"
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="worker cap for parallelizable searches (default: PROGVC_THREADS, else 1)",
     )
     common.add_argument("--config", help="JSON file of default flag values (flags win)")
 
@@ -466,23 +426,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = b.add_parser("cd", parents=[common], help="sum of binomials C(n,0..d)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_bounds, check="cd")
+    p.set_defaults(func=cmd_bounds)
     p = b.add_parser("f", parents=[common], help="intersection bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_bounds, check="f")
+    p.set_defaults(func=cmd_bounds)
     p = b.add_parser("g", parents=[common], help="coset-union bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_bounds, check="g")
+    p.set_defaults(func=cmd_bounds)
     p = b.add_parser("km", parents=[common], help="polynomial sign-pattern bound")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_bounds, check="km")
+    p.set_defaults(func=cmd_bounds)
     p = b.add_parser("verify-heisenberg", parents=[common], help="threshold flip checks")
-    p.set_defaults(func=cmd_bounds, check="verify-heisenberg")
+    p.set_defaults(func=cmd_bounds_verify_heisenberg)
 
     f = top.add_parser("free", help="free group progressions").add_subparsers(
         dest="cmd", required=True
@@ -595,23 +555,11 @@ def _apply_config(args, argv: Sequence[str]) -> None:
             setattr(args, action.dest, value)
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("PROGVC_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"PROGVC_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
     try:
         _apply_config(args, argv)
-        if args.threads is None:
-            args.threads = _env_threads()
-        if args.threads < 1:
-            raise DomainError("--threads must be at least 1")
         if getattr(args, "cap", 0) < 0:
             raise DomainError("--cap must be at least 0")
         return args.func(args)

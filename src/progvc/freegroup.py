@@ -25,8 +25,9 @@ componentwise-minimal bounds matter. So the traces cut out at h
 are the intersections of one threshold set {x : d_i(h, x) <= t} per
 coordinate i. Visiting the vertices in word_key order and keeping, for
 each trace, the first vertex and its minimal bounds gives the trace family
-that every shattering question here reads. The public ``minimal_tree``,
-``leaves`` and ``branches`` are the slow reference it is tested against.
+that every shattering question here reads. Tripod profiles, dominating
+sequences and entry points read the same trie. The public, path-based
+``minimal_tree`` and ``leaves`` are the slow reference it is tested against.
 
 ``free search`` draws its sets as code tuples, rejects non-leaf sets
 before building a trie, and makes ``FWord`` objects only for the sets it
@@ -38,7 +39,6 @@ from __future__ import annotations
 import functools
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -219,19 +219,12 @@ def path(v: FWord, w: FWord) -> list[FWord]:
 
 
 class TreeSlice:
-    """A finite vertex set of the Cayley tree with its induced adjacency."""
+    """A finite vertex set of the Cayley tree with its induced adjacency, a
+    dict from each vertex to its neighbours in the set."""
 
-    def __init__(self, rank: int, vertices: Iterable[FWord], adjacency: Optional[dict] = None):
+    def __init__(self, rank: int, vertices: Iterable[FWord], adjacency: dict):
         self.rank = rank
         self.vertices = frozenset(vertices)
-        if adjacency is None:
-            adjacency = {v: set() for v in self.vertices}
-            for v in self.vertices:
-                for i in range(1, rank + 1):
-                    for sign in (1, -1):
-                        w = multiply(v, FWord(rank, (sign * i,)))
-                        if w in self.vertices:
-                            adjacency[v].add(w)
         self._adj = adjacency
 
     def __contains__(self, v: FWord) -> bool:
@@ -284,32 +277,6 @@ def leaves(tree: TreeSlice) -> frozenset:
     return frozenset(v for v in tree.vertices if tree.degree(v) <= 1)
 
 
-def branches(tree: TreeSlice, p: FWord) -> tuple[frozenset, ...]:
-    """Connected components of the tree with p removed, in canonical order."""
-    if p not in tree.vertices:
-        raise DomainError(f"{p} is not a vertex of the tree")
-    remaining = set(tree.vertices) - {p}
-    parts = []
-    while remaining:
-        seed = min(remaining, key=word_key)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in tree.neighbors(v):
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        remaining -= comp
-        parts.append(frozenset(comp))
-    return tuple(sorted(parts, key=lambda c: word_key(min(c, key=word_key))))
-
-
-def branches_star(tree: TreeSlice, p: FWord) -> tuple[frozenset, ...]:
-    """Branches at p followed by the singleton {p}; a partition of the tree."""
-    return branches(tree, p) + (frozenset([p]),)
-
-
 @dataclass(frozen=True)
 class DominatingSequence:
     """For each part B of the partition at the center, a choice function
@@ -337,10 +304,12 @@ def dominating_sequence(points: Iterable[FWord], p: FWord) -> DominatingSequence
     """
     pts = set(points)
     rank = _common_rank(pts)
-    tree = minimal_tree(pts)
-    if p not in tree.vertices or p in pts:
+    trie = _PrefixTrie.of(sorted(pts, key=word_key))
+    code = _encode(p.letters)
+    if p.rank != rank or p in pts or code not in trie.words:
         raise DomainError("center must be a vertex of the minimal tree outside the point set")
-    parts = branches_star(tree, p)
+    # The root is a point, so the center is not the root.
+    parts = trie.parts(trie.words.index(code)) + (frozenset([p]),)
     dists = {x: dist_vector(p, x) for x in pts}
 
     # Deterministic argmax: largest distance, then smallest word.
@@ -408,17 +377,8 @@ def normalize_entry_point(
     rank = _common_rank(pts)
     if len(spec.bounds) != rank:
         raise DomainError("spec rank does not match the point set")
-    tree = TreeSlice(rank, pts)
-    seed = next(iter(pts))
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        v = frontier.pop()
-        for w in tree.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if seen != pts:
+    # Connected exactly when the minimal tree adds no vertex.
+    if len(_PrefixTrie.of(list(pts)).words) != len(pts):
         raise DomainError("point set is not connected")
     g = spec.translate
     h = min(pts, key=lambda x: (dist(g, x),) + word_key(x))
@@ -514,6 +474,32 @@ class _PrefixTrie:
 
     def vertex(self, c: int) -> FWord:
         return FWord(self.rank, _decode(self.words[c]))
+
+    def parts(self, c: int) -> tuple[frozenset, ...]:
+        """The vertex sets of the components of the tree minus node c, each
+        child subtree of c and the part above c when c is not the root, in
+        word_key order of their least vertices.
+
+        Children have larger indices than their parents, so one forward pass
+        over ``edge`` puts every node after c in its part; the nodes before
+        c lie above it.
+        """
+        part_of: dict[int, list[int]] = {}
+        subtrees, above = [], list(range(c))
+        for d in range(c + 1, len(self.edge)):
+            parent = self.edge[d][0]
+            if parent == c:
+                subtrees.append([d])
+                part_of[d] = subtrees[-1]
+            elif parent in part_of:
+                part_of[d] = part_of[parent]
+                part_of[d].append(d)
+            else:
+                above.append(d)
+        parts = subtrees + [above] if c else subtrees
+        words = self.words
+        parts.sort(key=lambda part: min((len(words[d]), words[d]) for d in part))
+        return tuple(frozenset(map(self.vertex, part)) for part in parts)
 
     def tripod_center(self) -> Optional[int]:
         """The vertex outside the points whose three branches hold a third
@@ -646,8 +632,7 @@ def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[froze
     c = trie.tripod_center()
     if c is None:
         return None
-    center = trie.vertex(c)
-    return center, branches(minimal_tree(ordered), center)
+    return trie.vertex(c), trie.parts(c)
 
 
 def _decide_shattered(rank: int, words: Sequence[tuple[int, ...]]) -> str:
@@ -735,14 +720,12 @@ def search_shattered_sets(
     seed: int,
     max_len: int = 12,
     cap: int = DEFAULT_SET_CAP,
-    threads: int = 1,
 ) -> dict:
     """Sample random point sets and decide shattering for each.
 
     The sets are those ``sample_point_set`` draws from one seeded
     generator, kept as code tuples; only the ``shattered`` ones become word
-    texts. Verdicts are merged in sample order, so the report is identical
-    for any thread count.
+    texts. The report depends on the arguments alone.
     """
     _check_rank(rank)
     if size < 1 or samples < 0 or max_len < 0:
@@ -750,15 +733,12 @@ def search_shattered_sets(
     if size > cap:
         raise ResourceLimitError(f"set size {size} exceeds cap {cap}")
     rng = random.Random(seed)
-    sets = [_sample_point_codes(rng, rank, size, max_len) for _ in range(samples)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(functools.partial(_decide_shattered, rank), sets))
-    else:
-        verdicts = [_decide_shattered(rank, words) for words in sets]
     tally = {"rejected-leaf": 0, "rejected-tripod": 0, "rejected-scan": 0, "shattered": 0}
     shattered = []
-    for words, verdict in zip(sets, verdicts):
+    for _ in range(samples):
+        # Decided as drawn, so memory does not grow with the sample count.
+        words = _sample_point_codes(rng, rank, size, max_len)
+        verdict = _decide_shattered(rank, words)
         tally[verdict] += 1
         if verdict == "shattered":
             shattered.append([format_word(FWord(rank, _decode(w))) for w in words])
@@ -768,7 +748,6 @@ def search_shattered_sets(
         "samples": samples,
         "seed": seed,
         "max_len": max_len,
-        "threads": threads,
         "verdicts": tally,
         "shattered": shattered,
     }

@@ -28,6 +28,12 @@ _A_TYPE = set("Aa")
 _B_TYPE = set("Bb")
 
 DEFAULT_ENUM_CAP = 20
+# Budgets witness_word accepts: its word has up to n1 + n2 letters, and its
+# sorting walk takes up to about q1*q2 swaps (q1, q2 as in witness_word),
+# each an O(n1 + n2) scan. Within both caps a witness takes under 2 s
+# (2-core VM, Python 3.11).
+MAX_WITNESS_LETTERS = 1_000
+MAX_WITNESS_SWAPS = 20_000
 
 
 class HPoint(NamedTuple):
@@ -279,6 +285,8 @@ def witness_word(p: Sequence[int], n1: int, n2: int) -> str:
     p = HPoint(*p)
     if not membership(HProgressionSpec(n1, n2), p):
         raise DomainError(f"{tuple(p)} is not in P({n1}, {n2})")
+    if n1 + n2 > MAX_WITNESS_LETTERS:
+        raise ResourceLimitError(f"witness budget {n1}+{n2} exceeds {MAX_WITNESS_LETTERS} letters")
     if p == IDENTITY:
         return ""
     a, b, c = p
@@ -290,6 +298,10 @@ def witness_word(p: Sequence[int], n1: int, n2: int) -> str:
         b, c = -b, -c
     q1 = (n1 + a) // 2
     q2 = (n2 + b) // 2
+    if q1 * q2 > MAX_WITNESS_SWAPS:
+        raise ResourceLimitError(
+            f"witness walk of up to {q1}*{q2} swaps exceeds the cap of {MAX_WITNESS_SWAPS}"
+        )
     # Value (a, b, q1*q2), the largest central coordinate over this (a, b).
     top = "b" * (q2 - b) + "A" * q1 + "B" * q2 + "a" * (q1 - a)
     if c >= 0:

@@ -186,10 +186,12 @@ class SetSystem:
     @classmethod
     def from_json(cls, obj: Mapping) -> "SetSystem":
         try:
-            ground = list(obj["ground"])
-            family = list(obj["family"])
+            ground, family = obj["ground"], obj["family"]
         except (KeyError, TypeError) as exc:
             raise DomainError("set system JSON needs 'ground' and 'family' keys") from exc
+        # A string or object would otherwise iterate as its characters or keys.
+        if not isinstance(ground, list) or not isinstance(family, list):
+            raise DomainError("set system 'ground' and 'family' must be JSON arrays")
         if any(isinstance(p, (list, dict)) for p in ground):
             raise DomainError("ground labels must be JSON scalars, not lists or objects")
         n = len(ground)

@@ -38,6 +38,9 @@ def test_capital_c_rejects_negative_arguments():
         bounds.capital_c(-1, 4)
     with pytest.raises(DomainError):
         bounds.capital_c(2, -1)
+    # About 15,000 digits, past what an int prints as.
+    with pytest.raises(ResourceLimitError):
+        bounds.capital_c(5000, 100000)
 
 
 @given(st.integers(0, 12), st.integers(0, 40))
@@ -128,6 +131,9 @@ def test_scan_ceiling_raises_resource_error():
         bounds.f_bound(2, 2, scan_ceiling=5)
     with pytest.raises(ResourceLimitError):
         bounds.g_bound(1, 2, scan_ceiling=2)
+    # f(300, 300) lies past the default ceiling of MAX_BITS.
+    with pytest.raises(ResourceLimitError):
+        bounds.f_bound(300, 300)
 
 
 def test_km_bound_frozen_value():
@@ -153,6 +159,8 @@ def test_km_bound_domain_errors():
     for bad in ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, -1)):
         with pytest.raises(DomainError):
             bounds.km_bound(*bad)
+    with pytest.raises(ResourceLimitError):
+        bounds.km_bound(2, 100000, 1, 100000)
 
 
 def translate_count(n):

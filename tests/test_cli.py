@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,17 +24,21 @@ P11_CSV = "\n".join(
     for a, b, c in sorted(enumerate_progression(1, 1))
 ) + "\n"
 
+# The whole-report digests in this file are of progvc/2 reports. The
+# schema/2 bump changed only the schema line and the params, so each
+# report's command and result are still the bytes named below.
+#
 # sha256 of the report bytes as the unpruned breadth-first enumeration
 # produced them; the pruned one must reproduce them exactly. The nmax 7
 # digest, the benchmark's size, is as the scan of every box point with the
 # membership formula produced it; the column check must reproduce it.
 REPORT_DIGESTS = {
     "heisenberg verify --nmax 7":
-        "9583f8318a96d6f957f07da7e3791b9e70ca03ed9d22d45ae5b32670528d4832",
+        "01c21d2eeb6ad7038ca3f1b505267386aaedc905f1644c5151954a61f55e6f6f",
     "heisenberg verify --nmax 5":
-        "e8a2e50f0a247b46d58bf48036b8e917304b458c43a325d5b18a52efc73c6a02",
+        "51bcc10c77d3531520d3a16d162fa96749f92d04600fcdc647ddac05afc83685",
     "heisenberg verify --nmax 5 --inject-fault":
-        "e9ec3670b866a92409ceec0af2c3a571df6c07fb7c062bc9540129257e0513bb",
+        "a74033ad52fe1595e4b437f245308953a37c4d0c5461b6bb4a64aaed642fa916",
     "heisenberg enumerate --n1 3 --n2 2 --format csv":
         "20d7837be96191204deb9e52934ddbf78787e91760c6779312f6ddb047775648",
 }
@@ -85,25 +90,25 @@ FREE_SHATTER_SETS = LEAF_ONLY_SETS | {
 }
 FREE_SHATTER_DIGESTS = {
     ("rank-2 8-point", "json"):
-        "c54123d92616a3a9dde6f5ba9c1c54a74a15908e2f18485dfa458ebddca50c1b",
+        "62c5f346e8dbd9ca3715df08bbb9aa7956082e69c2f4955c48c0e2b2653e4af5",
     ("rank-2 8-point", "text"):
-        "1068e5decb4e147e477758ced51ee41496d4f8bac89882b324112ac99b263a49",
+        "8342d363ef09fbb8d98b248f19e03cce5623b46f7cfe3066841096697c24011c",
     ("rank-2 9-point", "json"):
-        "fc2d696084a81cb2fa34820581aa0aadba79fce66d16c3ecfe8f497b93bd3897",
+        "9805ccadd1caf56e634bb39a88de4723f31e088aee4fe4f675488679612af9af",
     ("rank-2 9-point", "text"):
-        "0def26e5d2c1305a29437859b2e1645e8c4aa977ad7946f5aae2e015ba27d2e7",
+        "5c7d55ef2840983dd07892ae3259df4b86aa577d7270fbf642044977907ebd7d",
     ("rank-3 9-point", "json"):
-        "c2388a9f294aa0455aa0d19dafdeda7999ad1df69803cca3a26e5596af7a11a8",
+        "33932ab77c8e10e76b4fa2b38edb491e3bdc026f332e10727f09a9814838712a",
     ("rank-3 9-point", "text"):
-        "c81c5dd28404d4ae26f46f9e42c9eb37e33d72a00c05c517f515dc7509ee130d",
+        "ca85eaac5a8b7abffc05c714e747b076554b235fee25b0888c61aef80d86e8a5",
     ("rank-2 shattered", "json"):
-        "af3aa3d2de450754216c8de3ea223bcba273b0ed8338b0e477dcf4ed53f2bc09",
+        "e8a720a8dc77feb244edceb38c9591fdebc14053778369df9d257da73ffbeba3",
     ("rank-2 shattered", "text"):
-        "bd15aa05af37ba53e6303e8f2cd2cfba5957490dc790a3161cd43ff7eb193a73",
+        "c5493d7786174749e9025bf8f5c94919a9f29e8734b797a7a711aa3ea87c9ea0",
     ("rank-1 gap", "json"):
-        "18f20c012b973f3187fea5007e96fce9a6d233bfae1de003a54841d93f64f7a2",
+        "0a03d0f0ade94e20a9149ba0615b65331018016e733ad082da7021bfdbade0b5",
     ("rank-1 gap", "text"):
-        "227bdd88c2e44997f4903c8313e626b2beb0d28a96117719b3f331cbc6f0aa90",
+        "e8a1c0a5c6622663197e95e7499b9654b3f0211ee6763147664a1d1925aa0194",
 }
 
 # A 6-point system whose labels sort differently by str and by repr ("a!"
@@ -112,8 +117,8 @@ FREE_SHATTER_DIGESTS = {
 # the renderer that sorted every subset produced them.
 SORT_LABELS = ["a", "a!", "a b", "a'", "b", "A"]
 SETSYSTEM_SHATTER_DIGESTS = {
-    "json": "62e94829c8fb5436a034861deeffe9ba80876407140753d648a5b195a4d14a6e",
-    "text": "bdc2c92916d22416783521eadb44c5996cb5b58cd912ee8a833129e66b209595",
+    "json": "d2d6c793860b4f1b2ee9816a988c7c03d960046e9d9fb9561b69d26d6a7ce232",
+    "text": "33b4028afa614a6729842168eeabab17b6c16b1343baddf6f4b129cd565359d9",
 }
 
 
@@ -131,10 +136,9 @@ def run_json(capsys, *argv):
 def test_bounds_verify_heisenberg(capsys):
     code, report = run_json(capsys, "bounds", "verify-heisenberg")
     assert code == 0
-    assert report["schema"] == "progvc/1"
+    assert report["schema"] == "progvc/2"
     assert report["command"] == "bounds.verify-heisenberg"
-    assert report["params"]["seed"] == 0
-    assert report["params"]["threads"] == 1
+    assert report["params"] == {}
     assert report["result"]["verified"] is True
     assert report["result"]["translates"]["bound"] == 267
     assert report["result"]["fixed"]["bound"] == 140
@@ -176,6 +180,22 @@ def test_heisenberg_verify_over_cap_exits_2(capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "heisenberg witness --n1 100000000 --n2 100000000 --point 0,0,1",
+        "heisenberg witness --n1 400 --n2 400 --point 0,0,1",
+        "bounds f --d 300 --k 300",
+        "bounds km --d 2 --l 100000 --s 1 --n 100000",
+        "bounds cd --d 5000 --n 100000",
+    ],
+)
+def test_budgets_past_the_integer_caps_exit_2(capsys, argv):
+    code, out, err = run_stderr(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
@@ -343,8 +363,8 @@ def test_free_search_deterministic(capsys):
 # sha256 of the report bytes as free search printed them when it sampled
 # and decided FWord sets; the size-4 run lists 5 shattered sets.
 FREE_SEARCH_DIGESTS = {
-    "6": "e0c69358d3e991e0b873091825a13bbd9d43c0f8c625da69e3b8fee2c698f784",
-    "4": "ea0873ac9aa264907b2f81e4240c35fe3b9a4556aae3274164efc35e471dd42a",
+    "6": "ff84fae4a1b5fbf21ec7f865cffecc5676e704872320781840e566cd7267e45a",
+    "4": "673f530b1c35c7d8aecbb31b8bb1a87c0c5c163d1698e27e27749a742e294593",
 }
 
 
@@ -500,14 +520,23 @@ def run_stderr(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("ground", [[[1], [2]], [{"a": 1}, 2]], ids=["list", "object"])
+@pytest.mark.parametrize(
+    "ground, message",
+    [
+        ([[1], [2]], "error: ground labels must be JSON scalars, not lists or objects\n"),
+        ([{"a": 1}, 2], "error: ground labels must be JSON scalars, not lists or objects\n"),
+        # Iterated, these would be the labels "a", "b" and the keys 1, 2.
+        ("ab", "error: set system 'ground' and 'family' must be JSON arrays\n"),
+        ({"1": 0, "2": 0}, "error: set system 'ground' and 'family' must be JSON arrays\n"),
+    ],
+    ids=["list", "object", "string-ground", "object-ground"],
+)
 @pytest.mark.parametrize("flags", [["vc"], ["pi", "--n", "1"], ["shatter", "--target", "2"]], ids=lambda f: f[0])
-def test_setsystem_rejects_list_and_object_labels(capsys, tmp_path, ground, flags):
+def test_setsystem_rejects_list_and_object_labels(capsys, tmp_path, ground, message, flags):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"ground": ground, "family": [[0]]}))
     code, out, err = run_stderr(capsys, "setsystem", flags[0], "--file", str(path), *flags[1:])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ground labels") and err.count("\n") == 1
+    assert (code, out, err) == (2, "", message)
 
 
 def test_setsystem_shatter_refuses_a_target_label_that_names_two_points(capsys, tmp_path):
@@ -592,7 +621,7 @@ def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
     cfg.write_text(json.dumps({"format": "text"}))
     code, out = run(capsys, "bounds", "cd", "--d", "2", "--n", "4", "--config", str(cfg))
     assert code == 0
-    assert out.startswith("schema: progvc/1")
+    assert out.startswith("schema: progvc/2")
 
     code, out = run(
         capsys, "bounds", "cd", "--d", "2", "--n", "4", "--config", str(cfg), "--format", "json"
@@ -601,48 +630,25 @@ def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
     assert json.loads(out)["result"]["value"] == 11
 
 
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("PROGVC_THREADS", "3")
-    code, report = run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")
-    assert code == 0
-    assert report["params"]["threads"] == 3
-
-
-def test_threads_env_not_an_integer_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("PROGVC_THREADS", "x")
-    code = main(["bounds", "cd", "--d", "1", "--n", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert captured.err == "error: PROGVC_THREADS must be an integer, got 'x'\n"
-
-
-def test_consecutive_calls_share_no_state(capsys, monkeypatch, tmp_path):
+def test_consecutive_calls_share_no_state(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "text", "threads": 4}))
-    code, out = run(capsys, "bounds", "cd", "--d", "2", "--n", "4", "--config", str(cfg))
+    cfg.write_text(json.dumps({"format": "text", "seed": 4}))
+    search = ["free", "search", "--k", "2", "--size", "3", "--samples", "2"]
+    code, out = run(capsys, *search, "--config", str(cfg))
     assert code == 0
-    assert out.startswith("schema: progvc/1") and "  threads: 4\n" in out
-    code, report = run_json(capsys, "bounds", "cd", "--d", "2", "--n", "4")
+    assert out.startswith("schema: progvc/2") and "  seed: 4\n" in out
+    code, report = run_json(capsys, *search)
     assert code == 0
-    assert report["params"]["threads"] == 1
-
-    monkeypatch.setenv("PROGVC_THREADS", "3")
-    assert run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")[1]["params"]["threads"] == 3
-    monkeypatch.setenv("PROGVC_THREADS", "5")
-    assert run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")[1]["params"]["threads"] == 5
-    monkeypatch.delenv("PROGVC_THREADS")
-    assert run_json(capsys, "bounds", "cd", "--d", "0", "--n", "0")[1]["params"]["threads"] == 1
+    assert report["params"]["seed"] == 0
 
 
 @pytest.mark.parametrize(
     "config, argv, message",
     [
         (
-            {"threads": "x"},
-            ["bounds", "cd", "--d", "1", "--n", "2"],
-            "error: config 'threads': invalid int value 'x'\n",
+            {"cap": "x"},
+            ["free", "shatter", "--k", "1", "--points", "1^1"],
+            "error: config 'cap': invalid int value 'x'\n",
         ),
         (
             {"samples": "many"},
@@ -655,7 +661,7 @@ def test_consecutive_calls_share_no_state(capsys, monkeypatch, tmp_path):
             "error: config 'samples' must be a string or an integer, got 2.5\n",
         ),
     ],
-    ids=["threads", "samples", "samples-float"],
+    ids=["cap", "samples", "samples-float"],
 )
 def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message):
     cfg = tmp_path / "cfg.json"
@@ -670,8 +676,8 @@ def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message)
 @pytest.mark.parametrize(
     "config, argv, param, value",
     [
-        ({"threads": 3}, ["bounds", "cd", "--d", "1", "--n", "2", "--thread", "5"], "threads", 5),
-        ({"threads": 3}, ["bounds", "cd", "--d", "1", "--n", "2", "--thr=5"], "threads", 5),
+        ({"seed": 3}, ["free", "search", "--k", "2", "--size", "3", "--samples", "2", "--see", "5"], "seed", 5),
+        ({"max-len": 3}, ["free", "search", "--k", "2", "--size", "3", "--samples", "2", "--max=5"], "max_len", 5),
         (
             {"samples": 7},
             ["free", "search", "--k", "2", "--size", "3", "--sam", "2"],
@@ -680,7 +686,7 @@ def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message)
         ),
         ({"seed": 7}, ["free", "search", "--k", "2", "--size", "3", "--samples", "2"], "seed", 7),
     ],
-    ids=["thread", "thr=", "sam", "unnamed"],
+    ids=["see", "max=", "sam", "unnamed"],
 )
 def test_abbreviated_flags_beat_the_config(capsys, tmp_path, config, argv, param, value):
     # argparse reads a prefix of exactly one long option as that option.
@@ -693,17 +699,48 @@ def test_abbreviated_flags_beat_the_config(capsys, tmp_path, config, argv, param
 
 def test_config_values_take_the_flag_type(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": "3", "max-len": 4, "func": 1}))
+    cfg.write_text(json.dumps({"seed": "3", "max-len": 4, "func": 1}))
     code, report = run_json(
         capsys, "free", "search", "--k", "2", "--size", "3", "--samples", "2", "--config", str(cfg)
     )
     assert code == 0
-    assert report["params"]["threads"] == 3
+    assert report["params"]["seed"] == 3
     assert report["params"]["max_len"] == 4
 
 
-def test_threads_must_be_positive(capsys):
-    assert main(["bounds", "cd", "--d", "0", "--n", "0", "--threads", "0"]) == 2
+def test_params_echo_exactly_the_commands_own_flags(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"ground": [0, 1], "family": [[0], [1]]}))
+    argvs = {
+        ("heisenberg", "verify"): ["--nmax", "1"],
+        ("heisenberg", "member"): ["--n1", "1", "--n2", "1", "--point", "1,0,0"],
+        ("heisenberg", "enumerate"): ["--n1", "1", "--n2", "1"],
+        ("heisenberg", "witness"): ["--n1", "1", "--n2", "1", "--point", "1,0,0"],
+        ("heisenberg", "search"): ["--experimental", "--translate-window", "0", "--samples", "1"],
+        ("bounds", "cd"): ["--d", "1", "--n", "2"],
+        ("bounds", "f"): ["--d", "1", "--k", "1"],
+        ("bounds", "g"): ["--d", "1", "--k", "1"],
+        ("bounds", "km"): ["--d", "1", "--l", "1", "--s", "1", "--n", "1"],
+        ("bounds", "verify-heisenberg"): [],
+        ("free", "shatter"): ["--k", "1", "--points", "1^1"],
+        ("free", "example-f2"): [],
+        ("free", "search"): ["--k", "2", "--size", "3", "--samples", "1"],
+        ("free", "witness"): ["--k", "2", "--bounds", "1,1"],
+        ("free", "tripod"): ["--k", "1", "--points", "1^1,1^2,1^3"],
+        ("setsystem", "vc"): ["--file", str(path)],
+        ("setsystem", "shatter"): ["--file", str(path), "--target", "0"],
+        ("setsystem", "pi"): ["--file", str(path), "--n", "1"],
+    }
+    assert set(argvs) == set(COMMANDS)
+    for (group, cmd), argv in argvs.items():
+        with pytest.raises(SystemExit):
+            main([group, cmd, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        flags = {f[2:].replace("-", "_") for f in re.findall(r"--[a-z][a-z0-9-]*", usage)}
+        code, report = run_json(capsys, group, cmd, *argv)
+        assert code in (0, 1)
+        assert set(report["params"]) == flags - {"output", "format", "config"}, (group, cmd)
+        assert report["command"] == f"{group}.{cmd}"
 
 
 def test_csv_rejected_for_nested_reports(capsys):
@@ -804,13 +841,13 @@ COMMANDS = {
 }
 COMMON = {
     "--format": st.sampled_from(["json", "csv", "text"]),
-    "--threads": st.integers(-1, 3).map(str),
 }
 
 
 # A well-formed system, then malformed ones: a list label, a family index
 # past the ground, labels 0 and "0" that share their text, bool family
-# indices and a family member that is not a list.
+# indices, a family member that is not a list, and a string and an object
+# where the ground's array belongs.
 FUZZ_SYSTEMS = [
     {"ground": ["0", "1", "2", "3"], "family": [[0, 1], [1, 2], [2, 3], [3]]},
     {"ground": ["0", [1], "2"], "family": [[0, 2]]},
@@ -818,6 +855,8 @@ FUZZ_SYSTEMS = [
     {"ground": [0, "0", "1"], "family": [[0], [1, 2]]},
     {"ground": ["0", "1"], "family": [[True], [False, True]]},
     {"ground": ["0", "1"], "family": [[0], 1]},
+    {"ground": "01", "family": [[0, 1]]},
+    {"ground": {"0": 1, "1": 2}, "family": [[0]]},
 ]
 
 

@@ -18,6 +18,7 @@ from progvc.freegroup import (
     _decode,
     _encode,
     _leaf_only,
+    _PrefixTrie,
     _sample_codes,
     _sample_point_codes,
     DominatingSequence,
@@ -25,8 +26,6 @@ from progvc.freegroup import (
     FWord,
     MAX_RANK,
     MAX_WORD_LEN,
-    branches,
-    branches_star,
     cuts_out_free,
     dist,
     dist_i,
@@ -53,6 +52,33 @@ from progvc.freegroup import (
     tripod_profile,
     word_key,
 )
+
+
+def branches(tree, p):
+    """Connected components of the tree with p removed, in canonical order:
+    the path-based oracle for the trie's ``parts``."""
+    if p not in tree.vertices:
+        raise DomainError(f"{p} is not a vertex of the tree")
+    remaining = set(tree.vertices) - {p}
+    parts = []
+    while remaining:
+        seed = min(remaining, key=word_key)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            v = frontier.pop()
+            for w in tree.neighbors(v):
+                if w in remaining and w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        remaining -= comp
+        parts.append(frozenset(comp))
+    return tuple(sorted(parts, key=lambda c: word_key(min(c, key=word_key))))
+
+
+def branches_star(tree, p):
+    """Branches at p followed by the singleton {p}; a partition of the tree."""
+    return branches(tree, p) + (frozenset([p]),)
 
 
 def w2(text):
@@ -270,6 +296,7 @@ def test_dominating_sequence_properties(points):
         return
     p = interior[0]
     seq = dominating_sequence(points, p)
+    assert seq.parts == branches_star(tree, p)
     assert len(seq.image()) <= 2 * 2
     global_row = seq.choices[-1]
     for part, row in zip(seq.parts, seq.choices):
@@ -393,6 +420,17 @@ def test_normalize_entry_point_examples():
 
     with pytest.raises(DomainError):
         normalize_entry_point([identity(1), w1(2)], FProgressionSpec((1,), w1(0)))
+
+
+@settings(max_examples=60)
+@given(st.sets(fwords(max_len=3), min_size=1, max_size=5))
+def test_normalize_entry_point_refuses_exactly_the_disconnected_sets(points):
+    spec = FProgressionSpec((1, 1), identity(2))
+    if minimal_tree(points).vertices == points:
+        normalize_entry_point(points, spec)
+    else:
+        with pytest.raises(DomainError, match="point set is not connected"):
+            normalize_entry_point(points, spec)
 
 
 @settings(max_examples=60)
@@ -627,6 +665,17 @@ def test_trace_family_matches_brute_force_oracle(points):
     assert _decide_shattered(pts[0].rank, codes(pts)) == oracle_verdict(pts, missing)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ranked_point_sets())
+def test_trie_parts_match_the_branches_oracle(points):
+    # Every node, the root and the points included.
+    pts = sorted(points, key=word_key)
+    trie, tree = _PrefixTrie.of(pts), minimal_tree(pts)
+    assert len(trie.words) == len(tree)
+    for c in range(len(trie.words)):
+        assert trie.parts(c) == branches(tree, trie.vertex(c))
+
+
 def test_generator_witness_examples():
     spec = generator_shatter_witness(2, (1, 1), [1])
     assert str(spec.translate) == "1^1*2^1"
@@ -675,14 +724,10 @@ def test_sample_word_respects_bounds():
     assert len(pts) == 5
 
 
-def test_search_is_deterministic_and_thread_independent():
+def test_search_is_deterministic():
     one = search_shattered_sets(2, 6, 30, seed=7)
     two = search_shattered_sets(2, 6, 30, seed=7)
-    threaded = search_shattered_sets(2, 6, 30, seed=7, threads=3)
     assert one == two
-    assert {k: v for k, v in threaded.items() if k != "threads"} == {
-        k: v for k, v in one.items() if k != "threads"
-    }
     assert sum(one["verdicts"].values()) == 30
     assert one["shattered"] == []
 

@@ -16,6 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from progvc import heisenberg as hg
 from progvc.errors import DomainError, ResourceLimitError
 from progvc.heisenberg import (
+    MAX_WITNESS_LETTERS,
+    MAX_WITNESS_SWAPS,
     HPoint,
     HProgressionSpec,
     enumerate_progression,
@@ -319,6 +321,20 @@ def test_witness_word_examples():
     assert witness_word((1, 1, 0), 1, 1) == "BA"
     with pytest.raises(DomainError):
         witness_word((1, 1, 2), 1, 1)
+
+
+def test_witness_word_refuses_budgets_past_the_caps():
+    # The word would have 2*10^8 letters.
+    with pytest.raises(ResourceLimitError, match="letters"):
+        witness_word((0, 0, 1), 10**8, 10**8)
+    with pytest.raises(ResourceLimitError, match="letters"):
+        witness_word((0, 0, 0), MAX_WITNESS_LETTERS + 1, 0)
+    # 800 letters, but a walk of up to 200*200 swaps.
+    with pytest.raises(ResourceLimitError, match="swaps"):
+        witness_word((0, 0, 1), 400, 400)
+    # Just inside both caps: 141*141 swaps over 564 letters.
+    word = witness_word((0, 0, 1), 283, 283)
+    assert 141 * 141 <= MAX_WITNESS_SWAPS and word_eval(word) == (0, 0, 1)
 
 
 def test_witness_word_covers_all_members_of_small_progressions():

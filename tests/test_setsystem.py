@@ -69,6 +69,12 @@ def test_from_json_rejects_malformed_input():
         SetSystem.from_json({"ground": [1, 2]})
     with pytest.raises(DomainError):
         SetSystem.from_json({"ground": [1, 2], "family": [[5]]})
+    # A string or object ground is not split into characters or keys.
+    for obj in ({"ground": "ab", "family": [[0, 1]]}, {"ground": {"a": 1}, "family": [[0]]}):
+        with pytest.raises(DomainError, match="must be JSON arrays"):
+            SetSystem.from_json(obj)
+    with pytest.raises(DomainError, match="must be JSON arrays"):
+        SetSystem.from_json({"ground": ["a"], "family": {"0": [0]}})
 
 
 def test_cuts_out_examples():
