@@ -2,14 +2,17 @@
 
 Multiplies a few group elements, evaluates words, prints the progression
 P(1,1) in full, and cross-checks the closed-form membership test against
-brute-force enumeration on a small grid of budgets.
+brute-force enumeration on a small grid of budgets, and decides the VC
+dimension of the translates of P(1,1).
 """
 
 from progvc.heisenberg import (
+    IDENTITY,
     HPoint,
     HProgressionSpec,
     enumerate_progression,
     format_point,
+    h_inv,
     h_mul,
     max_central,
     membership,
@@ -17,6 +20,7 @@ from progvc.heisenberg import (
     witness_word,
     word_eval,
 )
+from progvc.setsystem import translate_vc
 
 print("Multiplication is (x,y,z)(x',y',z') = (x+x', y+y', z+z'+xy'):")
 p, q = HPoint(1, 0, 0), HPoint(0, 1, 0)
@@ -53,3 +57,11 @@ inside = sum(
     membership(spec, h_mul(g, pt)) for pt in points
 )
 print(f"  all {inside} points of g*P(1,1) found again around g = {format_point(g)}")
+print()
+
+print("VC dimension of the translates g*P(1,1), decided exactly on B = P*P:")
+result = translate_vc(points, h_mul, h_inv, IDENTITY)
+print(f"  VC = {result['vc']}, over |B| = {result['ground_size']} points and "
+      f"{result['translates']} translates meeting B ({result['nodes']} walk nodes)")
+shattered = ", ".join(format_point(p) for p in result["witness"].points)
+print(f"  shattered set {{{shattered}}}; the paper's bound for these translates is 140")

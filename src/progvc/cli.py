@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from typing import Optional, Sequence
 
@@ -118,58 +117,16 @@ def cmd_heisenberg_witness(args) -> int:
     return EXIT_OK if result["verified"] else EXIT_FAIL
 
 
-def cmd_heisenberg_search(args) -> int:
-    # Heuristic only: translates are scanned over a finite window, and
-    # nothing bounds where a cutting translate must live, so a negative
-    # verdict is relative to the window rather than a decision.
-    if not args.experimental:
-        raise DomainError("heisenberg search is experimental; pass --experimental to enable")
-    if args.translate_window is None:
-        raise DomainError("--translate-window is required for the experimental search")
-    window = args.translate_window
-    if args.size < 0 or args.point_window < 0:
-        raise DomainError("--size and --point-window must be nonnegative")
-    box = (2 * args.point_window + 1) ** 3
-    if args.size > box:
-        raise DomainError(f"--size {args.size} exceeds the {box} points of the point window")
-    rng = random.Random(args.seed)
-    specs = [
-        heisenberg.HProgressionSpec(n1, n2, heisenberg.HPoint(ga, gb, gc))
-        for n1 in range(args.nmax + 1)
-        for n2 in range(args.nmax + 1)
-        for ga in range(-window, window + 1)
-        for gb in range(-window, window + 1)
-        for gc in range(-window, window + 1)
-    ]
-    shattered = []
-    for _ in range(args.samples):
-        pts: set = set()
-        while len(pts) < args.size:
-            pts.add(
-                heisenberg.HPoint(
-                    rng.randint(-args.point_window, args.point_window),
-                    rng.randint(-args.point_window, args.point_window),
-                    rng.randint(-args.point_window, args.point_window),
-                )
-            )
-        sample = sorted(pts)
-        ok = True
-        for want in range(1 << args.size):
-            target = {sample[j] for j in range(args.size) if want >> j & 1}
-            if not any(
-                {p for p in sample if heisenberg.membership(spec, p)} == target for spec in specs
-            ):
-                ok = False
-                break
-        if ok:
-            shattered.append([list(p) for p in sample])
-    result = {
-        "heuristic": True,
-        "caveat": "translates scanned only inside the window; misses are inconclusive",
-        "specs_scanned": len(specs),
-        "shattered": shattered,
-        "shattered_count": len(shattered),
-    }
+def cmd_heisenberg_vc(args) -> int:
+    try:
+        K = sorted(heisenberg.enumerate_progression(args.n1, args.n2))
+    except ResourceLimitError as exc:
+        # {e} is shattered once the budgets are nonnegative.
+        raise ResourceLimitError(str(exc), partial=1) from None
+    result = setsystem.translate_vc(K, heisenberg.h_mul, heisenberg.h_inv, heisenberg.IDENTITY)
+    found = result["witness"]
+    witness = setsystem.ShatterReport(tuple(map(heisenberg.format_point, found.points)), found.traces)
+    result["witness"] = witness.to_json(lambda g: None if g is None else heisenberg.format_point(g))
     _emit(args, result)
     return EXIT_OK
 
@@ -376,120 +333,68 @@ def _build_parser() -> argparse.ArgumentParser:
     # varies between calls.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="write the report to this path instead of stdout")
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json", help="report format"
-    )
+    common.add_argument("--format", choices=("json", "csv", "text"), default="json", help="report format")
     common.add_argument("--config", help="JSON file of default flag values (flags win)")
-
     parser = _Parser(prog="progvc", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
 
-    h = top.add_parser("heisenberg", help="Heisenberg group progressions").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = h.add_parser("verify", parents=[common], help="membership formula vs enumeration")
-    p.add_argument("--nmax", type=int, required=True)
+    def group(name, help):
+        return top.add_parser(name, help=help).add_subparsers(dest="cmd", required=True)
+
+    def command(parent, name, func, help, *ints):
+        # A subcommand whose first flags are the required integers ``ints``.
+        p = parent.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        for flag in ints:
+            p.add_argument(flag, type=int, required=True)
+        return p
+
+    h = group("heisenberg", "Heisenberg group progressions")
+    p = command(h, "verify", cmd_heisenberg_verify, "membership formula vs enumeration", "--nmax")
     p.add_argument("--cap", type=int, default=heisenberg.DEFAULT_ENUM_CAP)
-    p.add_argument(
-        "--inject-fault", action="store_true", help="negative control: flip one verdict"
-    )
-    p.set_defaults(func=cmd_heisenberg_verify)
-    p = h.add_parser("member", parents=[common], help="membership test for one point")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    p.add_argument("--inject-fault", action="store_true", help="negative control: flip one verdict")
+    p = command(h, "member", cmd_heisenberg_member, "membership test for one point", "--n1", "--n2")
     p.add_argument("--point", required=True, help="point as 'a,b,c'")
     p.add_argument("--translate", default="0,0,0", help="translate as 'a,b,c'")
-    p.set_defaults(func=cmd_heisenberg_member)
-    p = h.add_parser("enumerate", parents=[common], help="list all progression points")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    p = command(h, "enumerate", cmd_heisenberg_enumerate, "list all progression points", "--n1", "--n2")
     p.add_argument("--cap", type=int, default=heisenberg.DEFAULT_ENUM_CAP)
-    p.set_defaults(func=cmd_heisenberg_enumerate)
-    p = h.add_parser("witness", parents=[common], help="produce a word evaluating to a point")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    p = command(h, "witness", cmd_heisenberg_witness, "produce a word evaluating to a point", "--n1", "--n2")
     p.add_argument("--point", required=True, help="point as 'a,b,c'")
-    p.set_defaults(func=cmd_heisenberg_witness)
-    p = h.add_parser("search", parents=[common], help="experimental shatter search")
-    p.add_argument("--experimental", action="store_true")
-    p.add_argument("--translate-window", type=int, dest="translate_window")
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--point-window", type=int, dest="point_window", default=3)
-    p.set_defaults(func=cmd_heisenberg_search)
+    command(h, "vc", cmd_heisenberg_vc, "exact VC dimension of the translates of P(n1,n2)", "--n1", "--n2")
 
-    b = top.add_parser("bounds", help="integer bound functions").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = b.add_parser("cd", parents=[common], help="sum of binomials C(n,0..d)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_bounds)
-    p = b.add_parser("f", parents=[common], help="intersection bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_bounds)
-    p = b.add_parser("g", parents=[common], help="coset-union bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_bounds)
-    p = b.add_parser("km", parents=[common], help="polynomial sign-pattern bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_bounds)
-    p = b.add_parser("verify-heisenberg", parents=[common], help="threshold flip checks")
-    p.set_defaults(func=cmd_bounds_verify_heisenberg)
+    b = group("bounds", "integer bound functions")
+    command(b, "cd", cmd_bounds, "sum of binomials C(n,0..d)", "--d", "--n")
+    command(b, "f", cmd_bounds, "intersection bound", "--d", "--k")
+    command(b, "g", cmd_bounds, "coset-union bound", "--d", "--k")
+    command(b, "km", cmd_bounds, "polynomial sign-pattern bound", "--d", "--l", "--s", "--n")
+    command(b, "verify-heisenberg", cmd_bounds_verify_heisenberg, "threshold flip checks")
 
-    f = top.add_parser("free", help="free group progressions").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = f.add_parser("shatter", parents=[common], help="exact shattering report")
-    p.add_argument("--k", type=int, required=True)
+    f = group("free", "free group progressions")
+    p = command(f, "shatter", cmd_free_shatter, "exact shattering report", "--k")
     p.add_argument("--points", required=True, help="comma-separated words like '1^0,1^5,1^10'")
     p.add_argument("--cap", type=int, default=freegroup.DEFAULT_SET_CAP)
-    p.set_defaults(func=cmd_free_shatter)
-    p = f.add_parser("example-f2", parents=[common], help="verify the bundled 4-point tables")
-    p.set_defaults(func=cmd_free_example_f2)
-    p = f.add_parser("search", parents=[common], help="random sets, exact verdict each")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    command(f, "example-f2", cmd_free_example_f2, "verify the bundled 4-point tables")
+    p = command(f, "search", cmd_free_search, "random sets, exact verdict each", "--k", "--size", "--samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=int, dest="max_len", default=12)
     p.add_argument("--cap", type=int, default=freegroup.DEFAULT_SET_CAP)
-    p.set_defaults(func=cmd_free_search)
-    p = f.add_parser("witness", parents=[common], help="generator-set cut-out witness")
-    p.add_argument("--k", type=int, required=True)
+    p = command(f, "witness", cmd_free_witness, "generator-set cut-out witness", "--k")
     p.add_argument("--bounds", required=True, help="comma-separated bounds, e.g. '1,1'")
     p.add_argument("--subset", default="", help="generator indices to keep, e.g. '1,3'")
-    p.set_defaults(func=cmd_free_witness)
-    p = f.add_parser("tripod", parents=[common], help="three-branch profile of a point set")
-    p.add_argument("--k", type=int, required=True)
+    p = command(f, "tripod", cmd_free_tripod, "three-branch profile of a point set", "--k")
     p.add_argument("--points", required=True)
-    p.set_defaults(func=cmd_free_tripod)
 
-    s = top.add_parser("setsystem", help="finite set systems").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = s.add_parser("vc", parents=[common], help="exact VC dimension")
+    s = group("setsystem", "finite set systems")
+    p = command(s, "vc", cmd_setsystem_vc, "exact VC dimension")
     p.add_argument("--file", required=True, help="SetSystem JSON path")
     p.add_argument("--cap", type=int, default=setsystem.DEFAULT_TARGET_CAP)
-    p.set_defaults(func=cmd_setsystem_vc)
-    p = s.add_parser("shatter", parents=[common], help="shattering report for a target")
+    p = command(s, "shatter", cmd_setsystem_shatter, "shattering report for a target")
     p.add_argument("--file", required=True)
-    p.add_argument(
-        "--target", required=True, help="comma-separated ground labels, or a JSON array of them"
-    )
+    p.add_argument("--target", required=True, help="comma-separated ground labels, or a JSON array of them")
     p.add_argument("--cap", type=int, default=setsystem.DEFAULT_TARGET_CAP)
-    p.set_defaults(func=cmd_setsystem_shatter)
-    p = s.add_parser("pi", parents=[common], help="shatter function value")
+    p = command(s, "pi", cmd_setsystem_pi, "shatter function value")
     p.add_argument("--file", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_setsystem_pi)
 
     return parser
 

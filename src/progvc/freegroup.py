@@ -732,6 +732,8 @@ def search_shattered_sets(
         raise DomainError("size must be >= 1 and samples, max_len >= 0")
     if size > cap:
         raise ResourceLimitError(f"set size {size} exceeds cap {cap}")
+    if max_len > MAX_WORD_LEN:
+        raise ResourceLimitError(f"max_len {max_len} exceeds the {MAX_WORD_LEN}-letter word cap")
     rng = random.Random(seed)
     tally = {"rejected-leaf": 0, "rejected-tripod": 0, "rejected-scan": 0, "shattered": 0}
     shattered = []
@@ -764,6 +766,7 @@ def generator_shatter_witness(
     translate a_j * a_{i_1}^{N_{i_1}} * ... over the complement indices
     i_1 < i_2 < ... spends the full budget of each excluded generator.
     """
+    _check_rank(rank)
     bounds = tuple(bounds)
     if len(bounds) != rank:
         raise DomainError(f"{len(bounds)} bounds for rank {rank}")
@@ -772,6 +775,9 @@ def generator_shatter_witness(
     chosen = sorted(set(subset))
     if chosen and not (1 <= chosen[0] and chosen[-1] <= rank):
         raise DomainError(f"subset indices {chosen} out of range 1..{rank}")
+    length = 1 + sum(bounds) - sum(bounds[i - 1] for i in chosen) if chosen else bounds[0] + 2
+    if length > MAX_WORD_LEN:
+        raise ResourceLimitError(f"witness translate of {length} letters exceeds the {MAX_WORD_LEN} cap")
     if not chosen:
         g = power(generator(rank, 1), bounds[0] + 2)
     else:

@@ -7,13 +7,14 @@ so membership tests and traces are single AND operations.
 The exact searches work on the transposed family, one column per ground
 point, in two representations chosen by what each question needs.
 
-``shatters`` and ``vc_dimension_exact`` ask whether a set is shattered. They
+``shatters`` and the VC searches ask whether a set is shattered. They
 keep the members with equal trace on a point set as a cell, an int over
 family indices; column i is the bitmask of family indices whose member
 contains ground point i. Appending a point splits each cell X into
 ``X & col`` and ``X ^ (X & col)``, and an s-set is shattered iff it has 2^s
-cells. The VC search extends only shattered sets, so it stops at the first
-cell a point leaves whole, usually after a few cells.
+cells. ``vc_dimension_exact`` and ``translate_vc``, the VC dimension of
+the translates of a finite set in a group, share one walk that extends
+only shattered sets, so it stops at the first cell a point leaves whole.
 
 ``shatter_function`` needs the full trace count at every node of its walk,
 so it keeps each member's trace as a byte in one int over the members:
@@ -226,10 +227,10 @@ def cuts_out(sys: SetSystem, target: Iterable[Hashable], sub: Iterable[Hashable]
     return None
 
 
-def _columns(sys: SetSystem) -> list:
-    """Transpose the family: bit k of ``cols[i]`` is set iff member k holds point i."""
-    cols = [0] * len(sys.ground)
-    for k, m in enumerate(sys.masks):
+def _columns(masks: Sequence[int], n: int) -> list:
+    """Transpose a family on n points: bit k of ``cols[i]`` is set iff member k holds point i."""
+    cols = [0] * n
+    for k, m in enumerate(masks):
         while m:
             low = m & -m
             cols[low.bit_length() - 1] |= 1 << k
@@ -250,7 +251,7 @@ def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARG
     if t > cap:
         raise ResourceLimitError(f"target of size {t} exceeds shatter cap {cap}")
     bits = [i for i in range(len(sys.ground)) if tmask >> i & 1]
-    cols = _columns(sys)
+    cols = _columns(sys.masks, len(sys.ground))
 
     cells = [(0, (1 << len(sys.masks)) - 1)] if sys.masks else []
     for j, b in enumerate(bits):
@@ -266,6 +267,57 @@ def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARG
     return ShatterReport(tuple(sys.ground[b] for b in bits), traces, canonical_missing=True)
 
 
+def _walk(cols: list, compat: list, root: tuple, deepest: int, on_best=None, budget=math.inf) -> tuple:
+    """The deepest shattered set that extends ``root``, by depth-first search.
+
+    A node is (cells, depth, candidates, chosen): the partition of the
+    family by trace on the chosen points, and masks of the points that may
+    still join and of those chosen. Trying the lowest candidate j splits
+    every cell by column j, stopping at the first cell it leaves whole; if
+    every cell splits, the child has j chosen and its candidates cut to
+    ``compat[j]``. The node then goes on without j. Only shattered sets are
+    extended, since subsets of shattered sets are shattered, and a node
+    that cannot pass ``deepest`` or the best depth so far is skipped.
+    ``on_best(depth)`` runs at each new best; trying more than ``budget``
+    points raises ResourceLimitError with the best depth as ``partial``.
+    Returns the deepest node and the number of points tried.
+    """
+    found, best, nodes = root, root[1], 0
+    # A popped node has depth <= best, so the bound also ends it once no
+    # candidate is left; at depth ``deepest`` the walk is done.
+    stack = [root] if best < deepest else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        cells, d, rem, chosen = pop()
+        if d + rem.bit_count() <= best:
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(f"walk needs more than the {budget} nodes left of the work cap", partial=best)
+        low = rem & -rem
+        j = low.bit_length() - 1
+        rem ^= low
+        push((cells, d, rem, chosen))
+        col = cols[j]
+        # Split every cell, stopping at the first one the point leaves whole.
+        split = []
+        for x in cells:
+            inside = x & col
+            if not inside or inside == x:
+                break
+            split += (inside, x ^ inside)
+        else:
+            child = (split, d + 1, rem & compat[j], chosen | low)
+            if d + 1 > best:
+                found, best = child, d + 1
+                if on_best:
+                    on_best(best)
+                if best == deepest:
+                    break
+            push(child)
+    return found, nodes
+
+
 def vc_dimension_exact(
     sys: SetSystem, cap: int = DEFAULT_TARGET_CAP, work_cap: int = DEFAULT_WORK_CAP
 ) -> Optional[int]:
@@ -274,13 +326,8 @@ def vc_dimension_exact(
     Returns None for an empty family: no set is shattered, not even the
     empty one, so the dimension is undefined there rather than 0. With a
     nonempty family the empty set is always shattered and the result is a
-    certified exact value. One depth-first walk of the combination tree
-    carries, per node, the partition of the family by trace on the node's
-    points; the node is shattered iff appending its last point split every
-    cell in two. Only shattered nodes are extended, since subsets of
-    shattered sets are shattered, so every shattered set is reached and the
-    deepest one is the dimension. Subtrees that cannot go deeper than the
-    best found so far are skipped.
+    certified exact value. ``_walk`` runs from the empty set with every
+    point a candidate, so it visits the combination tree in index order.
 
     ``cap`` bounds the subset size searched; a family that could still
     shatter a larger set raises ResourceLimitError with the certified lower
@@ -294,7 +341,6 @@ def vc_dimension_exact(
     top = min(cap, n)
     # The sizes the search may certify: at most top, and 2^s <= |F|.
     deepest = min(top, size.bit_length() - 1)
-    cols = _columns(sys)
 
     def check_work(s):
         # Size s becomes a candidate once some (s-1)-set is known shattered.
@@ -304,34 +350,73 @@ def vc_dimension_exact(
             )
 
     check_work(1)
-    best = 0
-    # Stack of shattered (cells, depth, next point); a popped node has
-    # depth <= best, so the bound also ends the scan at the last point.
-    stack = [([(1 << size) - 1], 0, 0)]
-    while stack:
-        cells, d, j = stack.pop()
-        if min(deepest, d + n - j) <= best:
-            continue
-        stack.append((cells, d, j + 1))
-        col = cols[j]
-        # Split every cell, stopping at the first one the point leaves whole.
-        split = []
-        for x in cells:
-            inside = x & col
-            if not inside or inside == x:
-                break
-            split += (inside, x ^ inside)
-        else:
-            if d + 1 > best:
-                best = d + 1
-                check_work(best + 1)
-            stack.append((split, d + 1, j + 1))
+    every = (1 << n) - 1
+    root = ([(1 << size) - 1], 0, every, 0)
+    (_, best, _, _), _ = _walk(_columns(sys.masks, n), [every] * n, root, deepest, lambda d: check_work(d + 1))
     if best >= top and top < n and size >= 2 ** (top + 1):
         raise ResourceLimitError(
             f"dimension at least {best} but search capped at subset size {top}",
             partial=best,
         )
     return best
+
+
+def translate_vc(K: Iterable, mul, inv, identity, work_cap: int = DEFAULT_WORK_CAP) -> dict:
+    """Exact VC dimension of the left translates g*K of a finite K = K^-1
+    in an infinite group with product ``mul`` and inverse ``inv``.
+
+    With B = K*K, a shattered set moved to contain the identity lies in B
+    (each pair s, t of it lies in one translate, so s^-1*t is in B), and
+    g*K meets B only if g is in B*K. So the dimension is that of the system
+    {g*K & B : g in B*K} plus the empty trace of all other translates, on
+    ground B. ``_walk`` runs on it from the identity, and t joins a set only
+    if s^-1*t is in B for each s in it. B and the translates keep the order
+    of the products over K's order. The products of each stage (|K|^2 for
+    B, |B|^2 for the pairs, |B|*|K| for the translates), checked before it
+    runs, and the walk's nodes share ``work_cap``; past it ResourceLimitError
+    carries the certified depth as ``partial`` (1, for {identity}, in
+    set-up). The witness maps each subset of the shattered set to a
+    translate; only the empty one may need a translate outside B*K, None
+    when K generates a finite subgroup and so no product of K is one.
+    """
+    K = list(dict.fromkeys(K))
+    if not K or set(map(inv, K)) != set(K):
+        raise DomainError("K must be nonempty and closed under inverses")
+    work = len(K) ** 2
+    if work > work_cap:
+        raise ResourceLimitError(f"{len(K)}^2 products for K*K exceed work cap {work_cap}", partial=1)
+    index = {}
+    for a in K:
+        for b in K:
+            index.setdefault(mul(a, b), len(index))
+    ground, n = list(index), len(index)
+    work += n * n + n * len(K)  # for the pairs and the translates
+    if work > work_cap:
+        raise ResourceLimitError(f"{work} set-up products for |B| = {n} exceed work cap {work_cap}", partial=1)
+    compat = [sum(1 << i for i, t in enumerate(ground) if mul(s_inv, t) in index) for s_inv in map(inv, ground)]
+    traces = {}  # g*K holds b exactly when g = b*k for some k in K = K^-1.
+    for i, b in enumerate(ground):
+        for k in K:
+            g = mul(b, k)
+            traces[g] = traces.get(g, 0) | 1 << i
+    first = {}  # the first translate with each trace
+    for g, mask in traces.items():
+        first.setdefault(mask, g)
+    masks, members = [*first, 0], list(first.values())
+    e, cols = index[identity], _columns(masks, n)
+    root = ([cols[e], ((1 << len(masks)) - 1) ^ cols[e]], 1, ((1 << n) - 1) ^ (1 << e), 1 << e)
+    deepest = len(masks).bit_length() - 1
+    (cells, vc, _, chosen), nodes = _walk(cols, compat, root, deepest, budget=work_cap - work)
+    bits = [i for i in range(n) if chosen >> i & 1]
+    witness = {}
+    for x in cells:
+        k = (x & -x).bit_length() - 1
+        trace = sum(1 << j for j, i in enumerate(bits) if masks[k] >> i & 1)
+        # Only the empty trace's cell may hold no translate from B*K.
+        far = (h for t in traces for a in K if (h := mul(t, a)) not in traces)
+        witness[trace] = members[k] if k < len(members) else next(far, None)
+    report = ShatterReport(tuple(ground[i] for i in bits), witness)
+    return {"vc": vc, "ground_size": n, "translates": len(traces), "nodes": nodes, "witness": report}
 
 
 def shatter_function(sys: SetSystem, n: int, work_cap: int = DEFAULT_WORK_CAP) -> int:

@@ -11,13 +11,16 @@ import io
 import json
 import random
 import re
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from progvc.cli import main
 from progvc.freegroup import MAX_RANK, MAX_WORD_LEN
-from progvc.heisenberg import enumerate_progression
+from progvc.heisenberg import HProgressionSpec, enumerate_progression, membership, parse_point
 
 P11_CSV = "\n".join(
     f"{a},{b},{c}"
@@ -190,6 +193,9 @@ def test_heisenberg_verify_over_cap_exits_2(capsys):
         "bounds f --d 300 --k 300",
         "bounds km --d 2 --l 100000 --s 1 --n 100000",
         "bounds cd --d 5000 --n 100000",
+        "free search --k 2 --size 1 --samples 3 --max-len 100000000",
+        "free witness --k 2 --bounds 100000000,1",
+        "free witness --k 2 --bounds 1,100000000 --subset 1",
     ],
 )
 def test_budgets_past_the_integer_caps_exit_2(capsys, argv):
@@ -261,33 +267,28 @@ def test_heisenberg_witness_outside_domain(capsys):
     assert code == 2
 
 
-def test_heisenberg_search_is_gated(capsys):
-    assert main(["heisenberg", "search"]) == 2
-    assert main(["heisenberg", "search", "--experimental"]) == 2
-
-
-def test_heisenberg_search_runs_with_window(capsys):
-    code, report = run_json(
-        capsys,
-        "heisenberg", "search",
-        "--experimental", "--translate-window", "1",
-        "--size", "2", "--samples", "3", "--seed", "11",
-        "--nmax", "1", "--point-window", "1",
-    )
+@pytest.mark.parametrize("n1, n2, vc", [(1, 1, 3), (2, 1, 4), (1, 2, 4)])
+def test_heisenberg_vc(capsys, n1, n2, vc):
+    code, report = run_json(capsys, "heisenberg", "vc", "--n1", str(n1), "--n2", str(n2))
     assert code == 0
-    assert report["result"]["heuristic"] is True
-    assert "window" in report["result"]["caveat"]
-    assert report["params"]["seed"] == 11
+    result = report["result"]
+    assert report["params"] == {"n1": n1, "n2": n2}
+    assert result["vc"] == vc and result["witness"]["verdict"] == "shattered"
+    target = {parse_point(p) for p in result["witness"]["target"]}
+    assert len(target) == vc
+    for row in result["witness"]["witnesses"]:
+        spec = HProgressionSpec(n1, n2, parse_point(row["witness"]))
+        assert {p for p in target if membership(spec, p)} == {parse_point(p) for p in row["subset"]}
+    assert len(result["witness"]["witnesses"]) == 2**vc
 
 
-def test_heisenberg_search_rejects_sizes_the_point_window_cannot_hold(capsys):
-    # --size 2 with a one-point window used to loop forever drawing points.
-    argv = ["heisenberg", "search", "--experimental", "--translate-window", "0"]
-    assert main(argv + ["--point-window", "0", "--size", "2"]) == 2
-    assert capsys.readouterr().err == "error: --size 2 exceeds the 1 points of the point window\n"
-    assert main(argv + ["--point-window=-1"]) == 2
-    assert main(argv + ["--size=-1"]) == 2
-    assert main(argv + ["--point-window", "0", "--size", "1"]) == 0
+def test_heisenberg_vc_past_the_work_cap_names_the_certified_partial(capsys):
+    start = time.perf_counter()
+    code, out, err = run_stderr(capsys, "heisenberg", "vc", "--n1", "3", "--n2", "3")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert err.endswith("(certified partial: 1)\n")
 
 
 def test_free_shatter_interval_gap(capsys):
@@ -716,7 +717,7 @@ def test_params_echo_exactly_the_commands_own_flags(capsys, tmp_path):
         ("heisenberg", "member"): ["--n1", "1", "--n2", "1", "--point", "1,0,0"],
         ("heisenberg", "enumerate"): ["--n1", "1", "--n2", "1"],
         ("heisenberg", "witness"): ["--n1", "1", "--n2", "1", "--point", "1,0,0"],
-        ("heisenberg", "search"): ["--experimental", "--translate-window", "0", "--samples", "1"],
+        ("heisenberg", "vc"): ["--n1", "1", "--n2", "0"],
         ("bounds", "cd"): ["--d", "1", "--n", "2"],
         ("bounds", "f"): ["--d", "1", "--k", "1"],
         ("bounds", "g"): ["--d", "1", "--k", "1"],
@@ -741,6 +742,24 @@ def test_params_echo_exactly_the_commands_own_flags(capsys, tmp_path):
         assert code in (0, 1)
         assert set(report["params"]) == flags - {"output", "format", "config"}, (group, cmd)
         assert report["command"] == f"{group}.{cmd}"
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("progvc ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.json").write_text(json.dumps({"ground": [0, 1, 2], "family": [[0], [0, 1], [2]]}))
+    commands = readme_commands()
+    assert len(commands) >= 17
+    for argv in commands:
+        code, out, err = run_stderr(capsys, *argv)
+        # free example-f2 reports the shipped tables' known discrepancies.
+        assert code == (1 if argv[:2] == ["free", "example-f2"] else 0), (argv, err)
+        assert out and not err, argv
 
 
 def test_csv_rejected_for_nested_reports(capsys):
@@ -783,6 +802,7 @@ def test_reports_are_byte_identical_across_runs(capsys):
 
 SMALL = st.integers(-2, 5).map(str)
 COUNT = st.integers(-1, 3).map(str)
+UNIT = st.integers(-1, 1).map(str)
 FREE_WORD = st.one_of(
     st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), min_size=1, max_size=3).map(
         lambda runs: "*".join(f"{i}^{e}" for i, e in runs)
@@ -808,18 +828,8 @@ COMMANDS = {
     ),
     ("heisenberg", "enumerate"): ({"--n1": SMALL, "--n2": SMALL}, {"--cap": SMALL}),
     ("heisenberg", "witness"): ({"--n1": SMALL, "--n2": SMALL, "--point": TRIPLE}, {}),
-    ("heisenberg", "search"): (
-        {},
-        {
-            "--experimental": None,
-            "--translate-window": st.integers(-1, 1).map(str),
-            "--size": SMALL,
-            "--samples": COUNT,
-            "--seed": SMALL,
-            "--nmax": st.integers(-1, 2).map(str),
-            "--point-window": st.integers(-1, 1).map(str),
-        },
-    ),
+    # Budgets past 1 walk for a second or more; the refusals have their own test.
+    ("heisenberg", "vc"): ({"--n1": UNIT, "--n2": UNIT}, {}),
     ("bounds", "cd"): ({"--d": SMALL, "--n": SMALL}, {}),
     ("bounds", "f"): ({"--d": SMALL, "--k": SMALL}, {}),
     ("bounds", "g"): ({"--d": SMALL, "--k": SMALL}, {}),

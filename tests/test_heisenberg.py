@@ -34,6 +34,7 @@ from progvc.heisenberg import (
     word_counts,
     word_eval,
 )
+from progvc.setsystem import SetSystem, shatters, translate_vc, vc_dimension_exact
 
 coords = st.integers(-50, 50)
 points = st.tuples(coords, coords, coords).map(lambda t: HPoint(*t))
@@ -464,3 +465,28 @@ def test_column_check_matches_pointwise_scan(case, inject_fault):
 def test_spec_rejects_negative_budgets():
     with pytest.raises(DomainError):
         HProgressionSpec(-1, 0)
+
+
+def test_translate_vc_matches_the_unrooted_walk_on_the_same_system():
+    # The finite system on B = K*K of the translates g*K, g in B*K, plus the
+    # empty trace, built with the membership formula and searched unrooted.
+    K = sorted(enumerate_progression(1, 1))
+    B = sorted({h_mul(x, y) for x in K for y in K})
+    family = [
+        [b for b in B if membership(HProgressionSpec(1, 1, g), b)]
+        for g in {h_mul(b, k) for b in B for k in K}
+    ]
+    unrooted = vc_dimension_exact(SetSystem(B, family + [[]]))
+    result = translate_vc(K, h_mul, h_inv, hg.IDENTITY)
+    assert unrooted == result["vc"] == 3
+    assert result["ground_size"] == len(B) == 79
+    report = result["witness"]
+    traces = [
+        [p for p in report.points if membership(HProgressionSpec(1, 1, g), p)]
+        for g in report.traces.values()
+    ]
+    assert shatters(SetSystem(report.points, traces), report.points).shattered
+    for mask, g in report.traces.items():
+        assert {p for p in report.points if membership(HProgressionSpec(1, 1, g), p)} == set(
+            report._subset(mask)
+        )

@@ -516,3 +516,94 @@ def produced_reports(draw):
 def test_produced_reports_render_as_the_reference(produced):
     report, witness_json = produced
     assert report.to_json(witness_json) == reference_to_json(report, witness_json)
+
+
+# ---------------------------------------------------- translates of a set K
+
+
+def vec_add(p, q):
+    return tuple(x + y for x, y in zip(p, q))
+
+
+def vec_neg(p):
+    return tuple(-x for x in p)
+
+
+def assert_witness_shattered(result, member):
+    """The witness set is shattered, and each translate, tested by
+    ``member(g, point)``, cuts out exactly the subset it is reported for."""
+    report = result["witness"]
+    points = report.points
+    assert report.shattered and len(points) == result["vc"]
+    family = [[p for p in points if member(g, p)] for g in report.traces.values()]
+    assert shatters(SetSystem(points, family), points).shattered
+    for mask, g in report.traces.items():
+        assert {p for p in points if member(g, p)} == set(report._subset(mask))
+
+
+def translate_member(K, mul, inv):
+    K = set(K)
+    return lambda g, p: mul(inv(g), p) in K
+
+
+@pytest.mark.parametrize(
+    "K, vc",
+    [
+        ([(x,) for x in range(-r, r + 1)], 2) for r in (1, 2, 5)
+    ] + [
+        ([(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)], 3) for n in (1, 2)
+    ] + [
+        ([(x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) <= 2], 3),
+    ],
+    ids=["interval-1", "interval-2", "interval-5", "box-1", "box-2", "l1-ball-2"],
+)
+def test_translate_vc_of_intervals_and_planar_bodies(K, vc):
+    # Translates of an interval have VC dimension 2, of a planar convex body 3.
+    zero = (0,) * len(K[0])
+    result = setsystem.translate_vc(K, vec_add, vec_neg, zero)
+    assert result["vc"] == vc
+    assert_witness_shattered(result, translate_member(K, vec_add, vec_neg))
+
+
+def test_translate_vc_of_f2_progression():
+    from progvc.freegroup import FProgressionSpec, FWord, identity, invert, multiply, progression_contains
+
+    K = [FWord(2, w) for w in [(), (1,), (-1,), (2,), (-2,)]]
+    K += [FWord(2, (x, y)) for x in (1, -1) for y in (2, -2)]
+    K += [FWord(2, (y, x)) for x in (1, -1) for y in (2, -2)]
+    result = setsystem.translate_vc(K, multiply, invert, identity(2))
+    assert result["vc"] == 3
+    assert_witness_shattered(result, lambda g, p: progression_contains(FProgressionSpec((1, 1), g), p))
+
+
+def test_translate_vc_of_a_point_names_no_far_translate():
+    # {0} generates no more than itself, so nothing built from K misses it.
+    result = setsystem.translate_vc([0], lambda a, b: a + b, lambda a: -a, 0)
+    report = result["witness"]
+    assert (result["vc"], report.points, report.traces) == (1, (0,), {1: 0, 0: None})
+
+
+def test_translate_vc_charges_set_up_and_walk_to_the_work_cap():
+    K = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    args = (K, vec_add, vec_neg, (0, 0))
+    # |K| = 25 and |B| = 81: 625 products for B, checked before B is built,
+    # then 81^2 for the pairs and 81 * 25 for the translates.
+    setup = 625 + 81**2 + 81 * 25
+    with pytest.raises(ResourceLimitError, match=r"^25\^2 products for K\*K exceed work cap 624$") as err:
+        setsystem.translate_vc(*args, work_cap=624)
+    assert err.value.partial == 1
+    with pytest.raises(ResourceLimitError, match=rf"^{setup} set-up products for \|B\| = 81 ") as err:
+        setsystem.translate_vc(*args, work_cap=setup - 1)
+    assert err.value.partial == 1
+    nodes = setsystem.translate_vc(*args)["nodes"]
+    assert setsystem.translate_vc(*args, work_cap=setup + nodes)["nodes"] == nodes
+    for short in (1, nodes // 2, nodes - 1):
+        with pytest.raises(ResourceLimitError, match="walk needs more than") as err:
+            setsystem.translate_vc(*args, work_cap=setup + short)
+        assert 1 <= err.value.partial <= 3
+
+
+def test_translate_vc_rejects_sets_not_closed_under_inverses():
+    for K in ([], [(0,), (1,)]):
+        with pytest.raises(DomainError):
+            setsystem.translate_vc(K, vec_add, vec_neg, (0,))
