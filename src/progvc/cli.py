@@ -6,9 +6,11 @@ output. Exit codes: 0 for success or a verified check, 1 for a check that
 ran but did not verify, 2 for usage, domain, or resource errors.
 
 A JSON config file may supply defaults for any long flag of the command
-(keys without the leading dashes); each value must be one the flag accepts,
-and flags given on the command line, abbreviated or not, win. A report's
-``params`` echo the command's own flags, with their defaults filled in.
+(keys without the leading dashes). Its values are parsed as flags placed
+before the typed ones, so a typed flag, abbreviated or not, wins, and a
+value the flag rejects exits 2 with argparse's one line; switches take
+true or false. A report's ``params`` echo the command's own flags, with
+their defaults filled in.
 """
 
 from __future__ import annotations
@@ -24,35 +26,30 @@ from .errors import DomainError, ResourceLimitError
 
 SCHEMA = "progvc/2"
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# Namespace entries that no config key sets.
+_NOT_CONFIGURABLE = ("group", "cmd", "func", "config")
 
 
-def _to_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _text_lines(obj, pad: str = ""):
+    """A dict or list as indented lines: "key:" per dict entry, "-" per list
+    item. A non-empty container's entries follow one level deeper; anything
+    else, "[]" and "{}" too, follows on the same line."""
     if isinstance(obj, dict):
-        lines = []
-        for key in obj:
-            value = obj[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_to_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-        return "\n".join(lines)
-    if isinstance(obj, list):
-        return "\n".join(
-            _to_text(item, indent) if isinstance(item, (dict, list)) else f"{pad}- {item}"
-            for item in obj
-        )
-    return f"{pad}{obj}"
+        entries = ((f"{key}:", value) for key, value in obj.items())
+    else:
+        entries = (("-", item) for item in obj)
+    for head, value in entries:
+        if value and isinstance(value, (dict, list)):
+            yield pad + head
+            yield from _text_lines(value, pad + "  ")
+        else:
+            yield f"{pad}{head} {value}"
 
 
 def _emit(args, result, flat_rows: Optional[list] = None) -> None:
     """Write the command's report; its params are the command's own flags."""
-    params = {
-        dest: getattr(args, dest)
-        for dest in _leaf_options(args)
-        if dest not in ("output", "format", "config")
-    }
+    skip = _NOT_CONFIGURABLE + ("output", "format")
+    params = {key: value for key, value in vars(args).items() if key not in skip}
     command = f"{args.group}.{args.cmd}"
     report = {"schema": SCHEMA, "command": command, "params": params, "result": result}
     if args.format == "csv":
@@ -60,7 +57,7 @@ def _emit(args, result, flat_rows: Optional[list] = None) -> None:
             raise DomainError("csv output is only available for flat tables")
         text = "\n".join(",".join(str(c) for c in row) for row in flat_rows) + "\n"
     elif args.format == "text":
-        text = _to_text(report) + "\n"
+        text = "\n".join(_text_lines(report)) + "\n"
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -254,7 +251,7 @@ def _load_system(path: str) -> setsystem.SetSystem:
             obj = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or too many digits
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     return setsystem.SetSystem.from_json(obj)
 
@@ -399,72 +396,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _leaf_options(args) -> dict:
-    """The chosen subcommand's long options, by dest; argparse has no public
-    lookup of a subparser's actions."""
-    parser = _build_parser()
-    for name in (args.group, args.cmd):
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = sub.choices[name]
-    return {
-        a.dest: a
-        for a in parser._actions
-        if a.default is not argparse.SUPPRESS and any(o.startswith("--") for o in a.option_strings)
-    }
-
-
-def _config_value(key: str, action: argparse.Action, value):
-    """A config value checked as the parser checks the flag's text."""
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise DomainError(f"config {key!r} must be true or false, got {value!r}")
-        return value
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise DomainError(f"config {key!r} must be a string or an integer, got {value!r}")
-    try:
-        value = (action.type or str)(str(value))
-    except ValueError:
-        name = action.type.__name__
-        raise DomainError(f"config {key!r}: invalid {name} value {value!r}") from None
-    if action.choices and value not in action.choices:
-        allowed = ", ".join(action.choices)
-        raise DomainError(f"config {key!r} must be one of {allowed}, got {value!r}")
-    return value
-
-
-def _apply_config(args, argv: Sequence[str]) -> None:
+def _apply_config(args, argv: list) -> argparse.Namespace:
+    """``argv`` parsed again with the config's values as flags placed before
+    the typed ones, so argparse checks each value and the typed flag wins."""
     if not args.config:
-        return
+        return args
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             defaults = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or too many digits
         raise DomainError(f"cannot load config {args.config}: {exc}") from exc
     if not isinstance(defaults, dict):
         raise DomainError("config must be a JSON object of flag defaults")
-    options = _leaf_options(args)
-    longs = [o for a in options.values() for o in a.option_strings if o.startswith("--")]
-    given = set()
-    for token in argv:
-        head = token.split("=", 1)[0]
-        # argparse reads a prefix of exactly one long option as that option.
-        matches = [head] if head in longs else [o for o in longs if o.startswith(head)]
-        if head.startswith("--") and len(matches) == 1:
-            given.update(matches)
+    tokens = []
     for key, value in defaults.items():
-        action = options.get(key.replace("-", "_"))
-        if action is None:
+        dest = key.replace("-", "_")
+        if dest not in vars(args) or dest in _NOT_CONFIGURABLE:
             continue
-        value = _config_value(key, action, value)
-        if given.isdisjoint(action.option_strings):
-            setattr(args, action.dest, value)
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool):  # a switch
+            if not isinstance(value, bool):
+                raise DomainError(f"config {key!r} must be true or false, got {value!r}")
+            if value:
+                tokens.append(flag)
+        elif isinstance(value, (str, int)) and not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise DomainError(f"config {key!r} must be a string or an integer, got {value!r}")
+    # argv[:2] are the group and command: neither level takes flags of its own.
+    return _build_parser().parse_args(argv[:2] + tokens + argv[2:])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
     try:
-        _apply_config(args, argv)
+        args = _apply_config(args, argv)
         if getattr(args, "cap", 0) < 0:
             raise DomainError("--cap must be at least 0")
         return args.func(args)

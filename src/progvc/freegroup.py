@@ -133,13 +133,9 @@ def power(u: FWord, n: int) -> FWord:
     return FWord(u.rank, base.letters * abs(n))
 
 
-def _letter_key(x: int) -> tuple[int, int]:
-    return (abs(x), 0 if x > 0 else 1)
-
-
 def word_key(u: FWord) -> tuple:
     """Length-then-lexicographic sort key; a_i sorts before a_i^-1."""
-    return (len(u.letters), tuple(_letter_key(x) for x in u.letters))
+    return (len(u.letters), _encode(u.letters))
 
 
 _TOKEN = re.compile(r"(\d+)(?:\^(-?\d+))?$")
@@ -772,23 +768,32 @@ def generator_shatter_witness(
         raise DomainError(f"{len(bounds)} bounds for rank {rank}")
     if any(n < 1 for n in bounds):
         raise DomainError(f"bounds must all be at least 1, got {bounds}")
-    chosen = sorted(set(subset))
-    if chosen and not (1 <= chosen[0] and chosen[-1] <= rank):
-        raise DomainError(f"subset indices {chosen} out of range 1..{rank}")
+    chosen = set(subset)
+    if chosen and not (1 <= min(chosen) and max(chosen) <= rank):
+        raise DomainError(f"subset indices {sorted(chosen)} out of range 1..{rank}")
     length = 1 + sum(bounds) - sum(bounds[i - 1] for i in chosen) if chosen else bounds[0] + 2
     if length > MAX_WORD_LEN:
         raise ResourceLimitError(f"witness translate of {length} letters exceeds the {MAX_WORD_LEN} cap")
     if not chosen:
         g = power(generator(rank, 1), bounds[0] + 2)
     else:
-        j = chosen[0]
-        letters = [j]
+        letters = [min(chosen)]
         for i in range(1, rank + 1):
             if i not in chosen:
                 letters.extend([i] * bounds[i - 1])
         g = FWord(rank, tuple(letters))
+    # Self-check from g's letter counts c (all letters positive): g^-1 * a_i
+    # has counts c, except c_i - 1 when g starts with a_i and c_i + 1 if not.
+    counts = [0] * (rank + 1)
+    for x in g.letters:
+        counts[x] += 1
+    over = sum(c > n for c, n in zip(counts[1:], bounds))
+    got = set()
+    for i in range(1, rank + 1):
+        c, n = counts[i], bounds[i - 1]
+        if over == (c > n) and c + (-1 if g.letters[0] == i else 1) <= n:
+            got.add(i)
+    if got != chosen:
+        raise RuntimeError(f"witness traced {sorted(got)} instead of {sorted(chosen)}")
     spec = FProgressionSpec(bounds, g)
-    got = {i for i in range(1, rank + 1) if progression_contains(spec, generator(rank, i))}
-    if got != set(chosen):
-        raise RuntimeError(f"witness traced {sorted(got)} instead of {chosen}")
     return spec

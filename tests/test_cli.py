@@ -91,37 +91,39 @@ FREE_SHATTER_SETS = LEAF_ONLY_SETS | {
     "rank-2 shattered": (2, "1^10,2^-10,1^-5,2^5*1^3"),
     "rank-1 gap": (1, "1^0,1^5,1^10"),
 }
+# The text digests are of the rendering that starts every list item with
+# "-" and prints an empty list or dict as [] or {}.
 FREE_SHATTER_DIGESTS = {
     ("rank-2 8-point", "json"):
         "62c5f346e8dbd9ca3715df08bbb9aa7956082e69c2f4955c48c0e2b2653e4af5",
     ("rank-2 8-point", "text"):
-        "8342d363ef09fbb8d98b248f19e03cce5623b46f7cfe3066841096697c24011c",
+        "1e98e8476a7999eb6028610ab0371c41b0b60704d7b317b7d375b58316b90c13",
     ("rank-2 9-point", "json"):
         "9805ccadd1caf56e634bb39a88de4723f31e088aee4fe4f675488679612af9af",
     ("rank-2 9-point", "text"):
-        "5c7d55ef2840983dd07892ae3259df4b86aa577d7270fbf642044977907ebd7d",
+        "33202cf6d3ddb4aa536da454e6e7e2b7ccee3291b795d0218960c5acca35c8d0",
     ("rank-3 9-point", "json"):
         "33932ab77c8e10e76b4fa2b38edb491e3bdc026f332e10727f09a9814838712a",
     ("rank-3 9-point", "text"):
-        "ca85eaac5a8b7abffc05c714e747b076554b235fee25b0888c61aef80d86e8a5",
+        "cc249f7eb21e1d248d2807f0a1e38c9919920a034d1e2f33d146eb194f0a44a1",
     ("rank-2 shattered", "json"):
         "e8a720a8dc77feb244edceb38c9591fdebc14053778369df9d257da73ffbeba3",
     ("rank-2 shattered", "text"):
-        "c5493d7786174749e9025bf8f5c94919a9f29e8734b797a7a711aa3ea87c9ea0",
+        "4bcc01dd7ec2dfebdabdc78ee5c9822ddceb5d65f2a2efbd188423c0233646e1",
     ("rank-1 gap", "json"):
         "0a03d0f0ade94e20a9149ba0615b65331018016e733ad082da7021bfdbade0b5",
     ("rank-1 gap", "text"):
-        "e8a1c0a5c6622663197e95e7499b9654b3f0211ee6763147664a1d1925aa0194",
+        "b58d86a756a34a07c2c77093261dbff329d2b2818c3231be47017a729a5f2312",
 }
 
 # A 6-point system whose labels sort differently by str and by repr ("a!"
 # comes before "a" by repr, after it by str), with every third subset of
 # the ground as a member. sha256 of the `setsystem shatter` report bytes as
-# the renderer that sorted every subset produced them.
+# the renderer that sorted every subset produced them (text: as above).
 SORT_LABELS = ["a", "a!", "a b", "a'", "b", "A"]
 SETSYSTEM_SHATTER_DIGESTS = {
     "json": "d2d6c793860b4f1b2ee9816a988c7c03d960046e9d9fb9561b69d26d6a7ce232",
-    "text": "33b4028afa614a6729842168eeabab17b6c16b1343baddf6f4b129cd565359d9",
+    "text": "f8d34bbbc0c0c17928fe4eef483ba07dbef8508532e4f719dd1b241af9117fdf",
 }
 
 
@@ -312,6 +314,18 @@ def test_free_shatter_report_digests(capsys, name, fmt):
     code, out = run(capsys, "free", "shatter", "--k", str(rank), "--points", points, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FREE_SHATTER_DIGESTS[name, fmt]
+
+
+def test_text_report_marks_list_items_and_empty_containers(capsys):
+    code, out = run(capsys, "free", "shatter", "--k", "2", "--points", "1^1,2^1", "--format", "text")
+    assert code == 0
+    assert out.split("result:\n")[1] == (
+        "  target:\n    - 1^1\n    - 2^1\n  verdict: shattered\n  missing: []\n  witnesses:\n"
+        "    -\n      subset: []\n      witness: 1^2*P(0, 0)\n"
+        "    -\n      subset:\n        - 1^1\n      witness: e*P(1, 0)\n"
+        "    -\n      subset:\n        - 2^1\n      witness: e*P(0, 1)\n"
+        "    -\n      subset:\n        - 1^1\n        - 2^1\n      witness: e*P(1, 1)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -644,34 +658,96 @@ def test_consecutive_calls_share_no_state(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config, argv, message",
+    "config, argv, message, raises",
     [
         (
             {"cap": "x"},
             ["free", "shatter", "--k", "1", "--points", "1^1"],
-            "error: config 'cap': invalid int value 'x'\n",
+            "error: argument --cap: invalid int value: 'x'\n",
+            True,
         ),
         (
             {"samples": "many"},
             ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
-            "error: config 'samples': invalid int value 'many'\n",
+            "error: argument --samples: invalid int value: 'many'\n",
+            True,
         ),
         (
             {"samples": 2.5},
             ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
             "error: config 'samples' must be a string or an integer, got 2.5\n",
+            False,
         ),
     ],
     ids=["cap", "samples", "samples-float"],
 )
-def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message):
+def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message, raises):
+    # A value the flag rejects exits through argparse, as the same value typed
+    # would; JSON that no flag's text can spell is refused before that.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code = main(argv + ["--config", str(cfg)])
+    if raises:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        code = exc.value.code
+    else:
+        code = main(argv + ["--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"seed": ', b'{"seed": "\xff"}', b'{"seed": 1' + b"0" * 5000 + b"}"],
+    ids=["bad-json", "bad-utf8", "5001-digit-int"],
+)
+def test_unreadable_config_and_system_files_exit_2(capsys, tmp_path, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    search = ["free", "search", "--k", "2", "--size", "3", "--samples", "2"]
+    for argv, start in [
+        ([*search, "--config", str(path)], f"error: cannot load config {path}: "),
+        (["setsystem", "vc", "--file", str(path)], f"error: {path} is not valid JSON: "),
+    ]:
+        code, out, err = run_stderr(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(start) and err.count("\n") == 1
+
+
+def test_config_sets_switches_with_true_or_false(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    verify = ["heisenberg", "verify", "--nmax", "1", "--config", str(cfg)]
+    cfg.write_text(json.dumps({"inject-fault": True}))
+    code, report = run_json(capsys, *verify)
+    assert code == 1 and report["params"]["inject_fault"] is True
+    cfg.write_text(json.dumps({"inject-fault": False}))
+    assert run_json(capsys, *verify)[0] == 0
+    assert run_json(capsys, *verify, "--inject-fault")[0] == 1
+    cfg.write_text(json.dumps({"inject-fault": "yes"}))
+    message = "error: config 'inject-fault' must be true or false, got 'yes'\n"
+    assert run_stderr(capsys, *verify) == (2, "", message)
+
+
+def test_config_value_outside_the_flags_choices_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "cd", "--d", "2", "--n", "4", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: argument --format: invalid choice: 'xml'")
+    assert captured.err.count("\n") == 1
+
+
+def test_config_ignores_keys_that_name_no_flag_of_the_command(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # "nmax" is another command's flag; "config" would name a missing file.
+    cfg.write_text(json.dumps({"bogus": [1], "func": 1.5, "config": "missing.json", "nmax": "x"}))
+    search = ["free", "search", "--k", "2", "--size", "3", "--samples", "2"]
+    plain = run(capsys, *search)
+    assert plain[0] == 0
+    assert run(capsys, *search, "--config", str(cfg)) == plain
 
 
 @pytest.mark.parametrize(
@@ -926,3 +1002,43 @@ def test_generated_argv_keeps_the_exit_contract(fuzz_systems, data):
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1
     assert (code == 2) == bool(err.getvalue())
+
+
+CONFIG_VALUES = st.one_of(
+    st.integers(-2, 5),
+    st.sampled_from(["", "x", "1", "-1", "json", "text", "csv", "1^1,2^1", "1,0,0", "two\nlines"]),
+    st.booleans(),
+    st.floats(-2, 2),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+VALID_SEARCH = ["free", "search", "--k", "2", "--size", "3", "--samples", "2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generated_configs_keep_the_exit_contract(fuzz_systems, data):
+    argv = data.draw(st.one_of(argvs(fuzz_systems), st.just(VALID_SEARCH)))
+    required, optional = COMMANDS[tuple(argv[:2])]
+    names = sorted(f[2:] for f in required | optional | COMMON) + ["bogus", "func", "config"]
+    keys = data.draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
+    config = {key: data.draw(CONFIG_VALUES) for key in keys}
+    seed = None
+    if argv[:2] == ["free", "search"]:
+        # Typed flags come after the config's, so the typed seed must win.
+        seed = data.draw(st.integers(0, 9))
+        spelling = data.draw(st.sampled_from(["--seed", "--see", "--se"]))
+        argv = argv + [f"{spelling}={seed}", "--format=json"]
+    cfg = Path(fuzz_systems[0]).with_name("config.json")
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--config", str(cfg)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+    assert (code == 2) == bool(err.getvalue())
+    if seed is not None and code == 0:
+        assert json.loads(out.getvalue())["params"]["seed"] == seed

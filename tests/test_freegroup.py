@@ -702,6 +702,16 @@ def test_generator_witness_cuts_every_subset():
                 assert got == {gens[i] for i in chosen}
 
 
+def test_generator_witness_at_the_rank_cap():
+    # Every other generator chosen: the translate spends the budgets of the
+    # other 5,000, and the self-check reads letter counts in linear time.
+    chosen = range(1, MAX_RANK + 1, 2)
+    spec = generator_shatter_witness(MAX_RANK, (1,) * MAX_RANK, chosen)
+    assert len(spec.translate.letters) == 1 + MAX_RANK // 2
+    for i in [1, 2, MAX_RANK - 1, MAX_RANK] + random.Random(0).sample(range(1, MAX_RANK + 1), 16):
+        assert progression_contains(spec, generator(MAX_RANK, i)) == (i % 2 == 1), i
+
+
 def test_generator_witness_validation():
     with pytest.raises(DomainError):
         generator_shatter_witness(2, (1, 0), [1])
