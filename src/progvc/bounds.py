@@ -15,8 +15,8 @@ from .errors import DomainError, ResourceLimitError
 
 # Cap on the integers here, in bits: every value prints in fewer digits
 # than Python's default int-to-str limit of 4,300 (14,284 bits). The f and g
-# scans compare against 2**n, so the cap is also their default ceiling on n;
-# their condition is eventually monotone in n, so a ceiling refuses large
+# scans compare against 2**n, so the cap is also where they stop on n;
+# their condition is eventually monotone in n, so stopping refuses large
 # arguments but never gives a wrong answer.
 MAX_BITS = 12_000
 
@@ -31,11 +31,11 @@ def _capital_c_bits(d: int, n: int) -> int:
     return min(n + 1, d * (n + 1).bit_length())
 
 
-def _capital_c_scan(d: int, ceiling: int):
-    """(n, capital_c(d, n)) for n = 0, 1, ..., ceiling, from
+def _capital_c_scan(d: int):
+    """(n, capital_c(d, n)) for n = 0, 1, ..., MAX_BITS, from
     C(n+1, <=d) = 2*C(n, <=d) - C(n, d) and C(n+1, d) = C(n, d)*(n+1)/(n+1-d)."""
     total, top = 1, int(d == 0)
-    for n in range(ceiling + 1):
+    for n in range(MAX_BITS + 1):
         yield n, total
         total = 2 * total - top
         top = 1 if n + 1 == d else top * (n + 1) // (n + 1 - d)
@@ -57,7 +57,7 @@ def capital_c(d: int, n: int) -> int:
     return total
 
 
-def f_bound(d: int, k: int, scan_ceiling: int = MAX_BITS) -> int:
+def f_bound(d: int, k: int) -> int:
     """Least n with capital_c(d, n)**k < 2**n.
 
     Controls how many points a k-fold intersection of systems of VC
@@ -66,15 +66,15 @@ def f_bound(d: int, k: int, scan_ceiling: int = MAX_BITS) -> int:
     """
     if d < 0 or k < 1:
         raise DomainError(f"f_bound requires d >= 0 and k >= 1, got d={d}, k={k}")
-    for n, c in _capital_c_scan(d, scan_ceiling):
+    for n, c in _capital_c_scan(d):
         # c**k < 2**n needs (bit_length(c) - 1) * k < n; test that first, so
         # no power past about 2n bits is built.
         if (c.bit_length() - 1) * k < n and c**k < 2**n:
             return n
-    raise ResourceLimitError(f"f_bound scan exceeded ceiling {scan_ceiling} for d={d}, k={k}")
+    raise ResourceLimitError(f"f_bound scan exceeded ceiling {MAX_BITS} for d={d}, k={k}")
 
 
-def g_bound(d: int, k: int, scan_ceiling: int = MAX_BITS) -> int:
+def g_bound(d: int, k: int) -> int:
     """k * (n0 - 1) where n0 is the least n with k * capital_c(d, n) < 2**n.
 
     Bounds the VC dimension of a union of k cosets, each carrying a trace
@@ -82,10 +82,10 @@ def g_bound(d: int, k: int, scan_ceiling: int = MAX_BITS) -> int:
     """
     if d < 0 or k < 1:
         raise DomainError(f"g_bound requires d >= 0 and k >= 1, got d={d}, k={k}")
-    for n, c in _capital_c_scan(d, scan_ceiling):
+    for n, c in _capital_c_scan(d):
         if k * c < 2**n:
             return k * (n - 1)
-    raise ResourceLimitError(f"g_bound scan exceeded ceiling {scan_ceiling} for d={d}, k={k}")
+    raise ResourceLimitError(f"g_bound scan exceeded ceiling {MAX_BITS} for d={d}, k={k}")
 
 
 def km_bound(d: int, l: int, s: int, n: int) -> int:

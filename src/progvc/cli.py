@@ -8,9 +8,9 @@ ran but did not verify, 2 for usage, domain, or resource errors.
 A JSON config file may supply defaults for any long flag of the command
 (keys without the leading dashes). Its values are parsed as flags placed
 before the typed ones, so a typed flag, abbreviated or not, wins, and a
-value the flag rejects exits 2 with argparse's one line; switches take
-true or false. A report's ``params`` echo the command's own flags, with
-their defaults filled in.
+value the flag rejects exits 2 with argparse's one line. Every value must
+be a JSON string or integer. A report's ``params`` echo the command's own
+flags, with their defaults filled in.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _emit(args, result, flat_rows: Optional[list] = None) -> None:
 
 
 def cmd_heisenberg_verify(args) -> int:
-    result = heisenberg.verify_cells(args.nmax, cap=args.cap, inject_fault=args.inject_fault)
+    result = heisenberg.verify_cells(args.nmax, cap=args.cap)
     _emit(args, result)
     return EXIT_OK if result["mismatch_count"] == 0 else EXIT_FAIL
 
@@ -349,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     h = group("heisenberg", "Heisenberg group progressions")
     p = command(h, "verify", cmd_heisenberg_verify, "membership formula vs enumeration", "--nmax")
     p.add_argument("--cap", type=int, default=heisenberg.DEFAULT_ENUM_CAP)
-    p.add_argument("--inject-fault", action="store_true", help="negative control: flip one verdict")
     p = command(h, "member", cmd_heisenberg_member, "membership test for one point", "--n1", "--n2")
     p.add_argument("--point", required=True, help="point as 'a,b,c'")
     p.add_argument("--translate", default="0,0,0", help="translate as 'a,b,c'")
@@ -413,16 +412,9 @@ def _apply_config(args, argv: list) -> argparse.Namespace:
         dest = key.replace("-", "_")
         if dest not in vars(args) or dest in _NOT_CONFIGURABLE:
             continue
-        flag = "--" + dest.replace("_", "-")
-        if isinstance(getattr(args, dest), bool):  # a switch
-            if not isinstance(value, bool):
-                raise DomainError(f"config {key!r} must be true or false, got {value!r}")
-            if value:
-                tokens.append(flag)
-        elif isinstance(value, (str, int)) and not isinstance(value, bool):
-            tokens.append(f"{flag}={value}")
-        else:
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
             raise DomainError(f"config {key!r} must be a string or an integer, got {value!r}")
+        tokens.append(f"--{dest.replace('_', '-')}={value}")
     # argv[:2] are the group and command: neither level takes flags of its own.
     return _build_parser().parse_args(argv[:2] + tokens + argv[2:])
 

@@ -52,13 +52,12 @@ class ShatterReport:
     ``traces`` maps each realized subset of the target ``points``, as a
     bitmask with bit j for ``points[j]``, to one witness: a family member
     for set systems, a progression spec for free groups. The frozenset
-    views ``target``, ``witnesses`` (mask order) and ``missing`` (mask
-    order, or canonical with ``canonical_missing``) are built on use.
+    views ``target``, ``witnesses`` and ``missing`` are built on use; the
+    last two list subsets in canonical order, as ``to_json`` prints them.
     """
 
     points: tuple
     traces: dict
-    canonical_missing: bool = False
 
     @property
     def shattered(self) -> bool:
@@ -84,12 +83,11 @@ class ShatterReport:
 
     @functools.cached_property
     def witnesses(self) -> dict:
-        return {self._subset(m): self.traces[m] for m in sorted(self.traces)}
+        return {self._subset(m): self.traces[m] for m in self._canonical() if m in self.traces}
 
     @functools.cached_property
     def missing(self) -> tuple:
-        order = self._canonical() if self.canonical_missing else range(1 << len(self.points))
-        return tuple(self._subset(m) for m in order if m not in self.traces)
+        return tuple(self._subset(m) for m in self._canonical() if m not in self.traces)
 
     def to_json(self, witness_json=None) -> dict:
         """Subsets as sorted ``str`` lists, in canonical order.
@@ -137,18 +135,12 @@ class SetSystem:
 
     @classmethod
     def from_masks(cls, ground: Sequence[Hashable], masks: Iterable[int]) -> "SetSystem":
-        sys = cls.__new__(cls)
-        sys.ground = tuple(ground)
-        if len(set(sys.ground)) != len(sys.ground):
-            raise DomainError("ground points must be distinct")
-        sys._index = {p: i for i, p in enumerate(sys.ground)}
+        sys = cls(ground, ())
+        masks = set(masks)
         full = (1 << len(sys.ground)) - 1
-        cleaned = set()
-        for m in masks:
-            if m < 0 or m & ~full:
-                raise DomainError("mask has bits outside the ground set")
-            cleaned.add(m)
-        sys.masks = tuple(sorted(cleaned))
+        if any(m < 0 or m & ~full for m in masks):
+            raise DomainError("mask has bits outside the ground set")
+        sys.masks = tuple(sorted(masks))
         return sys
 
     def __len__(self) -> int:
@@ -264,10 +256,10 @@ def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARG
                 split.append((small, x ^ inside))
         cells = split
     traces = {small: sys.points_of(sys.masks[(x & -x).bit_length() - 1]) for small, x in cells}
-    return ShatterReport(tuple(sys.ground[b] for b in bits), traces, canonical_missing=True)
+    return ShatterReport(tuple(sys.ground[b] for b in bits), traces)
 
 
-def _walk(cols: list, compat: list, root: tuple, deepest: int, on_best=None, budget=math.inf) -> tuple:
+def _walk(cols: list, compat: list, root: tuple, deepest: int, budget=math.inf) -> tuple:
     """The deepest shattered set that extends ``root``, by depth-first search.
 
     A node is (cells, depth, candidates, chosen): the partition of the
@@ -278,8 +270,8 @@ def _walk(cols: list, compat: list, root: tuple, deepest: int, on_best=None, bud
     ``compat[j]``. The node then goes on without j. Only shattered sets are
     extended, since subsets of shattered sets are shattered, and a node
     that cannot pass ``deepest`` or the best depth so far is skipped.
-    ``on_best(depth)`` runs at each new best; trying more than ``budget``
-    points raises ResourceLimitError with the best depth as ``partial``.
+    Trying more than ``budget`` points raises ResourceLimitError with the
+    best depth as ``partial``.
     Returns the deepest node and the number of points tried.
     """
     found, best, nodes = root, root[1], 0
@@ -310,8 +302,6 @@ def _walk(cols: list, compat: list, root: tuple, deepest: int, on_best=None, bud
             child = (split, d + 1, rem & compat[j], chosen | low)
             if d + 1 > best:
                 found, best = child, d + 1
-                if on_best:
-                    on_best(best)
                 if best == deepest:
                     break
             push(child)
@@ -331,8 +321,9 @@ def vc_dimension_exact(
 
     ``cap`` bounds the subset size searched; a family that could still
     shatter a larger set raises ResourceLimitError with the certified lower
-    bound as ``partial``. ``work_cap`` bounds C(n, s), checked for size s as
-    soon as some (s-1)-set is found shattered and |F| >= 2^s.
+    bound as ``partial``. ``work_cap`` bounds C(n, s): the walk stops short
+    of the least size s with C(n, s) over it and 2^s <= |F|, and reaching
+    s - 1 raises ResourceLimitError with s - 1 as ``partial``.
     """
     if not sys.masks:
         return None
@@ -341,18 +332,16 @@ def vc_dimension_exact(
     top = min(cap, n)
     # The sizes the search may certify: at most top, and 2^s <= |F|.
     deepest = min(top, size.bit_length() - 1)
-
-    def check_work(s):
-        # Size s becomes a candidate once some (s-1)-set is known shattered.
-        if s <= deepest and math.comb(n, s) > work_cap:
-            raise ResourceLimitError(
-                f"{math.comb(n, s)} candidate {s}-subsets exceed work cap {work_cap}"
-            )
-
-    check_work(1)
+    # The least size s whose C(n, s) exceeds work_cap; it becomes a
+    # candidate once some (s-1)-set is known shattered, so the walk stops there.
+    s = next((k for k in range(1, deepest + 1) if math.comb(n, k) > work_cap), deepest + 1)
     every = (1 << n) - 1
     root = ([(1 << size) - 1], 0, every, 0)
-    (_, best, _, _), _ = _walk(_columns(sys.masks, n), [every] * n, root, deepest, lambda d: check_work(d + 1))
+    (_, best, _, _), _ = _walk(_columns(sys.masks, n), [every] * n, root, s - 1)
+    if s <= deepest and best == s - 1:
+        raise ResourceLimitError(
+            f"{math.comb(n, s)} candidate {s}-subsets exceed work cap {work_cap}", partial=best
+        )
     if best >= top and top < n and size >= 2 ** (top + 1):
         raise ResourceLimitError(
             f"dimension at least {best} but search capped at subset size {top}",

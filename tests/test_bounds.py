@@ -127,13 +127,11 @@ def test_domain_errors_for_f_and_g():
 
 
 def test_scan_ceiling_raises_resource_error():
-    with pytest.raises(ResourceLimitError):
-        bounds.f_bound(2, 2, scan_ceiling=5)
-    with pytest.raises(ResourceLimitError):
-        bounds.g_bound(1, 2, scan_ceiling=2)
-    # f(300, 300) lies past the default ceiling of MAX_BITS.
+    # Both scans stop at n = MAX_BITS, and these answers lie past it.
     with pytest.raises(ResourceLimitError):
         bounds.f_bound(300, 300)
+    with pytest.raises(ResourceLimitError):
+        bounds.g_bound(1, 2**12000)
 
 
 def test_km_bound_frozen_value():

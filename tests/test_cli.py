@@ -35,13 +35,13 @@ P11_CSV = "\n".join(
 # produced them; the pruned one must reproduce them exactly. The nmax 7
 # digest, the benchmark's size, is as the scan of every box point with the
 # membership formula produced it; the column check must reproduce it.
+# The verify digests are of those bytes less the "inject_fault" params
+# line, which went with the flag.
 REPORT_DIGESTS = {
     "heisenberg verify --nmax 7":
-        "01c21d2eeb6ad7038ca3f1b505267386aaedc905f1644c5151954a61f55e6f6f",
+        "3fa4a8496e81b4bb828f0304056384d0256d9f1266232492d422234b5c7cafaf",
     "heisenberg verify --nmax 5":
-        "51bcc10c77d3531520d3a16d162fa96749f92d04600fcdc647ddac05afc83685",
-    "heisenberg verify --nmax 5 --inject-fault":
-        "a74033ad52fe1595e4b437f245308953a37c4d0c5461b6bb4a64aaed642fa916",
+        "6ffae4cec46d489ffd6f5695943320c80d1537241ae2e02828ec42fa59c652f7",
     "heisenberg enumerate --n1 3 --n2 2 --format csv":
         "20d7837be96191204deb9e52934ddbf78787e91760c6779312f6ddb047775648",
 }
@@ -165,10 +165,15 @@ def test_heisenberg_verify(capsys):
     assert report["result"]["mismatch_count"] == 0
 
 
-def test_heisenberg_verify_fault_injection(capsys):
-    code, report = run_json(capsys, "heisenberg", "verify", "--nmax", "1", "--inject-fault")
-    assert code == 1
-    assert report["result"]["mismatch_count"] == 1
+def test_heisenberg_verify_fault_injection(capsys, verify_faults):
+    for plant, nmax, cap, flagged in verify_faults:
+        with pytest.MonkeyPatch.context() as mp:
+            plant(mp)
+            code, report = run_json(capsys, "heisenberg", "verify", f"--nmax={nmax}", f"--cap={cap}")
+        cells = report["result"]["cells"]
+        assert code == 1
+        assert [(c["n1"], c["n2"], c["mismatches"]) for c in cells if c["mismatches"]] == flagged
+        assert report["result"]["mismatch_count"] == 1
 
 
 def test_heisenberg_verify_benchmark_size_fits_default_cap(capsys):
@@ -678,8 +683,14 @@ def test_consecutive_calls_share_no_state(capsys, tmp_path):
             "error: config 'samples' must be a string or an integer, got 2.5\n",
             False,
         ),
+        (
+            {"seed": True},
+            ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
+            "error: config 'seed' must be a string or an integer, got True\n",
+            False,
+        ),
     ],
-    ids=["cap", "samples", "samples-float"],
+    ids=["cap", "samples", "samples-float", "seed-true"],
 )
 def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message, raises):
     # A value the flag rejects exits through argparse, as the same value typed
@@ -713,20 +724,6 @@ def test_unreadable_config_and_system_files_exit_2(capsys, tmp_path, content):
     ]:
         code, out, err = run_stderr(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith(start) and err.count("\n") == 1
-
-
-def test_config_sets_switches_with_true_or_false(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    verify = ["heisenberg", "verify", "--nmax", "1", "--config", str(cfg)]
-    cfg.write_text(json.dumps({"inject-fault": True}))
-    code, report = run_json(capsys, *verify)
-    assert code == 1 and report["params"]["inject_fault"] is True
-    cfg.write_text(json.dumps({"inject-fault": False}))
-    assert run_json(capsys, *verify)[0] == 0
-    assert run_json(capsys, *verify, "--inject-fault")[0] == 1
-    cfg.write_text(json.dumps({"inject-fault": "yes"}))
-    message = "error: config 'inject-fault' must be true or false, got 'yes'\n"
-    assert run_stderr(capsys, *verify) == (2, "", message)
 
 
 def test_config_value_outside_the_flags_choices_exits_2(capsys, tmp_path):
@@ -898,7 +895,7 @@ TRIPLE = st.one_of(
 
 # Per command: flags it always gets, then flags it may get.
 COMMANDS = {
-    ("heisenberg", "verify"): ({"--nmax": SMALL}, {"--cap": SMALL, "--inject-fault": None}),
+    ("heisenberg", "verify"): ({"--nmax": SMALL}, {"--cap": SMALL}),
     ("heisenberg", "member"): (
         {"--n1": SMALL, "--n2": SMALL, "--point": TRIPLE}, {"--translate": TRIPLE}
     ),
@@ -967,15 +964,12 @@ def argvs(draw, system_files):
     fault = draw(st.sampled_from([None, None, "drop", "unknown", "spaced"]))
     if fault == "drop" and required:
         del chosen[draw(st.sampled_from(sorted(required)))]
-    valued = sorted(f for f in chosen if f == "--file" or chosen[f] is not None)
-    spaced = draw(st.sampled_from(valued)) if fault == "spaced" and valued else None
+    spaced = draw(st.sampled_from(sorted(chosen))) if fault == "spaced" and chosen else None
     argv = [group, cmd]
     for flag, values in chosen.items():
         if flag == "--file":
             values = st.sampled_from(system_files)
-        if values is None:
-            argv.append(flag)
-        elif flag == spaced:
+        if flag == spaced:
             argv += [flag, "-" + draw(values).lstrip("-")]
         else:
             # flag=value, so that a value like "-1,2" is not read as a flag

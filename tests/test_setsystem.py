@@ -145,8 +145,13 @@ def test_vc_work_cap_counts_only_sizes_the_family_can_shatter():
     # within a cap of 30, and C(8, 3) = 56 is never needed.
     sys_ = SetSystem.from_masks(range(8), range(4))
     assert vc_dimension_exact(sys_, work_cap=30) == 2
-    with pytest.raises(ResourceLimitError, match="28 candidate 2-subsets"):
+    with pytest.raises(ResourceLimitError, match="28 candidate 2-subsets") as err:
         vc_dimension_exact(sys_, work_cap=27)
+    # Some 1-set is shattered before the refusal, so 1 is certified.
+    assert err.value.partial == 1
+    with pytest.raises(ResourceLimitError, match="^8 candidate 1-subsets exceed work cap 7$") as err:
+        vc_dimension_exact(sys_, work_cap=7)
+    assert err.value.partial == 0
 
 
 def test_shatter_function_examples():
@@ -307,7 +312,8 @@ def level_has_shattered_subset(sys_, size, work_cap):
         return False
     if math.comb(n, size) > work_cap:
         raise ResourceLimitError(
-            f"{math.comb(n, size)} candidate {size}-subsets exceed work cap {work_cap}"
+            f"{math.comb(n, size)} candidate {size}-subsets exceed work cap {work_cap}",
+            partial=size - 1,
         )
     for bits in combinations(range(n), size):
         tmask = sum(1 << b for b in bits)
@@ -420,13 +426,10 @@ def test_shatters_matches_first_witness_scan(sys_, data):
     everything = {frozenset(s) for s in _powerset(points)}
     assert report.witnesses == first
     assert set(report.missing) == everything - set(first)
-    # Witnesses in mask order over the target in ground order, missing
-    # subsets by size and then by their sorted reprs.
-    bits = sorted(target)
-    by_mask = [frozenset(sys_.ground[b] for j, b in enumerate(bits) if m >> j & 1) for m in range(1 << len(bits))]
-    assert list(report.witnesses) == [s for s in by_mask if s in first]
-    canonical = sorted(everything - set(first), key=lambda s: (len(s), sorted(map(repr, s))))
-    assert list(report.missing) == canonical
+    # Both views list subsets by size and then by their sorted reprs.
+    canonical = sorted(everything, key=lambda s: (len(s), sorted(map(repr, s))))
+    assert list(report.witnesses) == [s for s in canonical if s in first]
+    assert list(report.missing) == [s for s in canonical if s not in first]
 
 
 @given(rich_systems())
@@ -483,7 +486,7 @@ def shatter_reports(draw):
     points = tuple(draw(st.lists(LABELS, unique=True, max_size=6)))
     masks = st.integers(0, 2 ** len(points) - 1)
     traces = draw(st.dictionaries(masks, st.frozensets(LABELS, max_size=3)))
-    return ShatterReport(points, traces, draw(st.booleans()))
+    return ShatterReport(points, traces)
 
 
 @given(shatter_reports(), st.booleans())
