@@ -51,6 +51,13 @@ DEFAULT_SET_CAP = 14
 MAX_WORD_LEN = 10_000
 # Largest rank: several paths allocate per generator.
 MAX_RANK = 10_000
+# Pointer slots a _PrefixTrie may fill: one per letter of each vertex's
+# word, plus the three rank-long rows (letter counts, distances, threshold
+# masks) that rows() keeps per vertex. At 8 bytes a slot that is 80 MB, so
+# the refusal comes well before a 700 MB address space runs out, and far
+# above what the tests use (under 600,000). 1^3000,1^-3000 fits (9 million
+# letters); 1^10000,1^-10000 would need 10^8.
+MAX_TRIE_SLOTS = 10_000_000
 
 
 def _check_rank(rank: int) -> None:
@@ -435,11 +442,13 @@ class _PrefixTrie:
     ``kids[c]`` maps a letter to the child across it, ``edge[c]`` is the
     parent and letter of the edge into c, ``below[c]`` is the bitmask of
     points (bit j for the j-th point) in the subtree of c, and ``at[j]`` is
-    the node of point j.
+    the node of point j. Past ``MAX_TRIE_SLOTS`` it raises
+    ResourceLimitError.
     """
 
     def __init__(self, rank: int, points: Sequence[tuple[int, ...]]):
         base = points[0]
+        slots = MAX_TRIE_SLOTS - len(base) - 3 * rank
         self.rank = rank
         self.n = len(points)
         self.words = words = [base]
@@ -456,7 +465,11 @@ class _PrefixTrie:
                     child = len(words)
                     kids[c][a] = child
                     w = words[c]
-                    words.append(w[:-1] if w and w[-1] == a ^ 1 else w + (a,))
+                    w = w[:-1] if w and w[-1] == a ^ 1 else w + (a,)
+                    slots -= len(w) + 3 * rank
+                    if slots < 0:
+                        raise ResourceLimitError(f"the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots")
+                    words.append(w)
                     kids.append({})
                     edge.append((c, a))
                     below.append(0)
@@ -519,12 +532,15 @@ class _PrefixTrie:
             None,
         )
 
-    def rows(self) -> list[list[list[int]]]:
-        """``rows[c][i][j]`` = d_{i+1}(vertex c, point j).
+    def rows(self) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
+        """``rows[c][i][j]`` = d_{i+1}(vertex c, point j), and
+        ``masks[c][i]`` = ``_thresholds(rows[c][i])``.
 
         At the root it is cnt(point j), the letter count of its rebased word.
         Crossing the edge into a child labelled a_i^(+-1) changes coordinate
-        i only: by -1 for the points below the child, +1 for the rest.
+        i only: by -1 for the points below the child, +1 for the rest. The
+        child shares its other coordinates' lists with its parent, so each
+        list's threshold masks are built once.
         """
         size = len(self.words)
         cnt = [(0,) * self.rank]
@@ -534,13 +550,16 @@ class _PrefixTrie:
             counts[a >> 1] += 1
             cnt.append(tuple(counts))
         rows = [[[cnt[c][i] for c in self.at] for i in range(self.rank)]]
+        masks = [[_thresholds(values) for values in rows[0]]]
         for c in range(1, size):
             parent, a = self.edge[c]
             i, sub = a >> 1, self.below[c]
-            row = list(rows[parent])
+            row, mrow = list(rows[parent]), list(masks[parent])
             row[i] = [d - 1 if sub >> j & 1 else d + 1 for j, d in enumerate(row[i])]
+            mrow[i] = _thresholds(row[i])
             rows.append(row)
-        return rows
+            masks.append(mrow)
+        return rows, masks
 
 
 def _thresholds(values: Sequence[int]) -> list[int]:
@@ -555,16 +574,16 @@ def _thresholds(values: Sequence[int]) -> list[int]:
     return masks
 
 
-def _vertex_traces(row: Sequence[Sequence[int]], full: int) -> set[int]:
-    """The nonempty traces cut out at one vertex, from its distance row.
+def _vertex_traces(mask_row: Sequence[Sequence[int]], full: int) -> set[int]:
+    """The nonempty traces cut out at one vertex, from the threshold masks
+    of its distance row.
 
     Bounds N give the trace {x : d(h, x) <= N}, the AND of one threshold
     mask per coordinate, so the traces are the AND-combinations of the
     threshold masks, de-duplicated after each coordinate.
     """
     traces = {full}
-    for values in row:
-        masks = _thresholds(values)
+    for masks in mask_row:
         traces = {t & m for t in traces for m in masks}
         traces.discard(0)
     return traces
@@ -585,10 +604,10 @@ def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> Sh
     trie = _PrefixTrie.of(pts)
     full = (1 << trie.n) - 1
     traces = {0: _empty_trace_spec(pts)}
-    rows, words = trie.rows(), trie.words
+    (rows, masks), words = trie.rows(), trie.words
     for c in sorted(range(len(words)), key=lambda c: (len(words[c]), words[c])):
         row, vertex = rows[c], None
-        for t in _vertex_traces(row, full):
+        for t in _vertex_traces(masks[c], full):
             if t not in traces:
                 if vertex is None:
                     vertex = trie.vertex(c)
@@ -647,8 +666,8 @@ def _decide_shattered(rank: int, words: Sequence[tuple[int, ...]]) -> str:
         return "rejected-tripod"
     full = (1 << trie.n) - 1
     seen: set[int] = set()
-    for row in trie.rows():
-        seen |= _vertex_traces(row, full)
+    for mask_row in trie.rows()[1]:
+        seen |= _vertex_traces(mask_row, full)
         if len(seen) == full:
             return "shattered"
     return "rejected-scan"

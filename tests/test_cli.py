@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from progvc.cli import main
-from progvc.freegroup import MAX_RANK, MAX_WORD_LEN
+from progvc.bounds import MAX_BITS
+from progvc.cli import _json_text, main
+from progvc.freegroup import MAX_RANK, MAX_TRIE_SLOTS, MAX_WORD_LEN
 from progvc.heisenberg import HProgressionSpec, enumerate_progression, membership, parse_point
 
 P11_CSV = "\n".join(
@@ -350,6 +351,19 @@ def test_free_shatter_word_over_length_cap_exits_2(capsys, points):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "k, points", [("1", "1^10000,1^-10000"), (str(MAX_RANK), "1^1000,10000^-1000")], ids=["letters", "rank"]
+)
+def test_free_shatter_past_the_trie_slot_budget_exits_2(capsys, k, points):
+    # The first set's trie words hold 10^8 letters in all, the second's
+    # rows 6 * 10^7 slots: about a gigabyte, or a MemoryError, if stored.
+    start = time.perf_counter()
+    code, out, err = run_stderr(capsys, "free", "shatter", "--k", k, "--points", points)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == f"resource limit: the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots\n"
 
 
 def test_free_example_f2_reports_failure(capsys):
@@ -833,6 +847,50 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         # free example-f2 reports the shipped tables' known discrepancies.
         assert code == (1 if argv[:2] == ["free", "example-f2"] else 0), (argv, err)
         assert out and not err, argv
+        if "--format" not in argv:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+# What a report may hold, with the characters json escapes or must pass
+# through: quotes, backslashes, control characters, non-ASCII, astral
+# characters and lone surrogates; ints up to the bounds' width, and the bools
+# beside 0 and 1.
+REPORT_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\udfff", "\U0001f600"]),
+        st.characters(exclude_categories=()),
+    )
+)
+REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(2**MAX_BITS), 2**MAX_BITS),
+    REPORT_STRINGS,
+)
+REPORT_TREES = st.recursive(
+    REPORT_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(REPORT_STRINGS, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORT_TREES)
+def test_json_text_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, [0.0], {"a": {"b": float("nan")}}, {1: 2}, {"a": [{None: 1}]}, {(1,): 2}, {1}, b"x", ["a", 0.5]]
+)
+def test_json_text_refuses_what_a_report_cannot_hold(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
 
 
 def test_csv_rejected_for_nested_reports(capsys):
