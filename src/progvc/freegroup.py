@@ -29,9 +29,9 @@ that every shattering question here reads. Tripod profiles, dominating
 sequences and entry points read the same trie. The public, path-based
 ``minimal_tree`` and ``leaves`` are the slow reference it is tested against.
 
-``free search`` draws its sets as code tuples, rejects non-leaf sets
-before building a trie, and makes ``FWord`` objects only for the sets it
-lists.
+``free search`` draws its sets as code tuples from ``getrandbits``, rejects
+non-leaf sets before building a trie, never builds the trie's vertex words,
+and makes ``FWord`` objects only for the sets it lists.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ DEFAULT_SET_CAP = 14
 MAX_WORD_LEN = 10_000
 # Largest rank: several paths allocate per generator.
 MAX_RANK = 10_000
-# Pointer slots a _PrefixTrie may fill: one per letter of each vertex's
-# word, plus the three rank-long rows (letter counts, distances, threshold
-# masks) that rows() keeps per vertex. At 8 bytes a slot that is 80 MB, so
-# the refusal comes well before a 700 MB address space runs out, and far
-# above what the tests use (under 600,000). 1^3000,1^-3000 fits (9 million
-# letters); 1^10000,1^-10000 would need 10^8.
+# Pointer slots a _PrefixTrie may fill: three rank-long rows per vertex (letter
+# counts, distances, threshold masks) when it is made, one per letter of each
+# vertex's word where the words are built (free search never builds them). At
+# 8 bytes a slot that is 80 MB, well below a 700 MB address space and far above
+# the tests (under 600,000). 1^3000,1^-3000 fits; 1^10000,1^-10000 needs 10^8.
 MAX_TRIE_SLOTS = 10_000_000
 
 
@@ -381,7 +380,7 @@ def normalize_entry_point(
     if len(spec.bounds) != rank:
         raise DomainError("spec rank does not match the point set")
     # Connected exactly when the minimal tree adds no vertex.
-    if len(_PrefixTrie.of(list(pts)).words) != len(pts):
+    if len(_PrefixTrie.of(list(pts)).edge) != len(pts):
         raise DomainError("point set is not connected")
     g = spec.translate
     h = min(pts, key=lambda x: (dist(g, x),) + word_key(x))
@@ -420,17 +419,16 @@ def _rebase(base: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a ^ 1 for a in reversed(base[common:])) + x[common:]
 
 
-def _leaf_only(words: Sequence[tuple[int, ...]]) -> bool:
+def _leaf_only(rebased: Sequence[tuple[int, ...]]) -> bool:
     """Whether every point has degree at most 1 in the prefix trie of the
-    words rebased at ``words[0]``: the root has one child per distinct first
-    letter, and any other point must be a prefix of no other rebased word.
-    Sorted order puts the extensions of a word right after it.
+    rebased words, ``rebased[0]`` the base's own: the root has one child
+    per distinct first letter, and any other point must be a prefix of no
+    other rebased word. Sorted order puts a word's extensions right after it.
     """
-    base = words[0]
-    rebased = sorted(_rebase(base, x) for x in words[1:])
-    if rebased and rebased[0][0] != rebased[-1][0]:
+    words = sorted(rebased[1:])
+    if words and words[0][0] != words[-1][0]:
         return False
-    return all(b[: len(a)] != a for a, b in zip(rebased, rebased[1:]))
+    return all(b[: len(a)] != a for a, b in zip(words, words[1:]))
 
 
 class _PrefixTrie:
@@ -438,48 +436,58 @@ class _PrefixTrie:
     words b^-1 x rebased at the first point b.
 
     Node c stands for the vertex b * p_c, where p_c is the trie prefix of c;
-    node 0 is b. ``words[c]`` is the reduced word of that vertex,
-    ``kids[c]`` maps a letter to the child across it, ``edge[c]`` is the
-    parent and letter of the edge into c, ``below[c]`` is the bitmask of
-    points (bit j for the j-th point) in the subtree of c, and ``at[j]`` is
-    the node of point j. Past ``MAX_TRIE_SLOTS`` it raises
-    ResourceLimitError.
+    node 0 is b. ``kids[c]`` maps a letter to the child across it, ``edge[c]``
+    is the parent and letter of the edge into c, ``below[c]`` is the bitmask
+    of points (bit j for the j-th point) in the subtree of c, ``at[j]`` is
+    the node of point j, and ``words[c]``, built on first use, is the reduced
+    word of vertex c. Past ``MAX_TRIE_SLOTS``, rows counted when the trie is
+    made and letters when the words are, it raises ResourceLimitError.
     """
 
-    def __init__(self, rank: int, points: Sequence[tuple[int, ...]]):
-        base = points[0]
-        slots = MAX_TRIE_SLOTS - len(base) - 3 * rank
-        self.rank = rank
-        self.n = len(points)
-        self.words = words = [base]
+    def __init__(self, rank: int, base: tuple[int, ...], rebased: Sequence[tuple[int, ...]]):
+        self.rank, self.base, self.n, self._words = rank, base, len(rebased), None
         self.kids = kids = [{}]
         self.edge = edge = [(0, 0)]
         self.below = below = [(1 << self.n) - 1]
         self.at = []
-        for j, x in enumerate(points):
+        for j, x in enumerate(rebased):
             bit = 1 << j
             c = 0
-            for a in _rebase(base, x):
+            for a in x:
                 child = kids[c].get(a)
                 if child is None:
-                    child = len(words)
+                    child = len(edge)
                     kids[c][a] = child
-                    w = words[c]
-                    w = w[:-1] if w and w[-1] == a ^ 1 else w + (a,)
-                    slots -= len(w) + 3 * rank
-                    if slots < 0:
-                        raise ResourceLimitError(f"the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots")
-                    words.append(w)
                     kids.append({})
                     edge.append((c, a))
                     below.append(0)
                 c = child
                 below[c] |= bit
             self.at.append(c)
+        if 3 * rank * len(edge) > MAX_TRIE_SLOTS:
+            raise ResourceLimitError(f"the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots")
+
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        if self._words is None:
+            slots = MAX_TRIE_SLOTS - 3 * self.rank * len(self.edge) - len(self.base)
+            words = [self.base]
+            for c, a in self.edge[1:]:
+                if slots < 0:
+                    break
+                w = words[c]
+                w = w[:-1] if w and w[-1] == a ^ 1 else w + (a,)
+                slots -= len(w)
+                words.append(w)
+            if slots < 0:
+                raise ResourceLimitError(f"the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots")
+            self._words = words
+        return self._words
 
     @classmethod
     def of(cls, points_sorted: Sequence[FWord]) -> "_PrefixTrie":
-        return cls(points_sorted[0].rank, [_encode(x.letters) for x in points_sorted])
+        words = [_encode(x.letters) for x in points_sorted]
+        return cls(points_sorted[0].rank, words[0], [_rebase(words[0], x) for x in words])
 
     def vertex(self, c: int) -> FWord:
         return FWord(self.rank, _decode(self.words[c]))
@@ -519,18 +527,12 @@ class _PrefixTrie:
         unique: the two branches of a second one that avoid the first would
         both lie in a single branch of the first.
         """
-        arm = self.n // 3
-        points = set(self.at)
-        return next(
-            (
-                c
-                for c in range(1, len(self.words))
-                if len(self.kids[c]) == 2
-                and c not in points
-                and all(self.below[d].bit_count() == arm for d in self.kids[c].values())
-            ),
-            None,
-        )
+        arm, points = self.n // 3, set(self.at)
+        for c in range(1, len(self.edge)):
+            kids = self.kids[c]
+            if len(kids) == 2 and c not in points and all(self.below[d].bit_count() == arm for d in kids.values()):
+                return c
+        return None
 
     def rows(self) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
         """``rows[c][i][j]`` = d_{i+1}(vertex c, point j), and
@@ -542,7 +544,7 @@ class _PrefixTrie:
         child shares its other coordinates' lists with its parent, so each
         list's threshold masks are built once.
         """
-        size = len(self.words)
+        size = len(self.edge)
         cnt = [(0,) * self.rank]
         for c in range(1, size):
             parent, a = self.edge[c]
@@ -604,7 +606,7 @@ def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> Sh
     trie = _PrefixTrie.of(pts)
     full = (1 << trie.n) - 1
     traces = {0: _empty_trace_spec(pts)}
-    (rows, masks), words = trie.rows(), trie.words
+    words, (rows, masks) = trie.words, trie.rows()
     for c in sorted(range(len(words)), key=lambda c: (len(words[c]), words[c])):
         row, vertex = rows[c], None
         for t in _vertex_traces(masks[c], full):
@@ -659,9 +661,10 @@ def _decide_shattered(rank: int, words: Sequence[tuple[int, ...]]) -> str:
     connected, so a shattered set consists of leaves of its minimal tree;
     and a shattered set of size 3k admits a tripod vertex.
     """
-    if not _leaf_only(words):
+    rebased = [_rebase(words[0], x) for x in words]
+    if not _leaf_only(rebased):
         return "rejected-leaf"
-    trie = _PrefixTrie(rank, words)
+    trie = _PrefixTrie(rank, words[0], rebased)
     if trie.n == 3 * rank and trie.tripod_center() is None:
         return "rejected-tripod"
     full = (1 << trie.n) - 1
@@ -684,37 +687,34 @@ def sample_word(rng: random.Random, rank: int, max_len: int) -> FWord:
     return FWord(rank, tuple(letters))
 
 
-def _sample_codes(rng: random.Random, rank: int, max_len: int) -> tuple[int, ...]:
-    """The word ``sample_word`` draws, as codes, from the same calls on rng:
-    an index into a range as long as its ``choices``, stepped past the
-    banned inverse of the previous letter."""
-    length = rng.randint(0, max_len)
-    if not length:
-        return ()
-    c = rng.choice(range(2 * rank))
-    codes = [c]
-    rest = range(2 * rank - 1)
-    for _ in range(length - 1):
-        i = rng.choice(rest)
-        c = i + (i >= c ^ 1)
-        codes.append(c)
-    return tuple(codes)
-
-
-def _sample_point_codes(
-    rng: random.Random, rank: int, size: int, max_len: int
-) -> list[tuple[int, ...]]:
-    """Distinct ``_sample_codes`` words until there are ``size``, in word_key
-    order."""
+def _sample_point_codes(rng: random.Random, rank: int, size: int, max_len: int) -> list[tuple[int, ...]]:
+    """Distinct words drawn as ``sample_word`` draws them until there are
+    ``size``, as codes in word_key order. An index below n is drawn as
+    ``rng.getrandbits(n.bit_length())`` until it is below n: what ``randint``
+    and ``choice`` consume on CPython 3.10 to 3.13, where tests compare the
+    two. After code c, an index into the 2k - 1 letters skips c ^ 1.
+    """
+    getrandbits = rng.getrandbits
+    n_len, n_first, n_next = max_len + 1, 2 * rank, 2 * rank - 1
+    b_len, b_first, b_next = n_len.bit_length(), n_first.bit_length(), n_next.bit_length()
     pts: set[tuple[int, ...]] = set()
     attempts = 0
     while len(pts) < size:
-        pts.add(_sample_codes(rng, rank, max_len))
+        length = getrandbits(b_len)
+        while length >= n_len:
+            length = getrandbits(b_len)
+        codes, n, b, ban = [], n_first, b_first, n_first  # the first letter bans none
+        for _ in range(length):
+            i = getrandbits(b)
+            while i >= n:
+                i = getrandbits(b)
+            c = i + (i >= ban)
+            codes.append(c)
+            n, b, ban = n_next, b_next, c ^ 1
+        pts.add(tuple(codes))
         attempts += 1
         if attempts > 1000 * size:
-            raise ResourceLimitError(
-                f"could not sample {size} distinct words of length <= {max_len}"
-            )
+            raise ResourceLimitError(f"could not sample {size} distinct words of length <= {max_len}")
     # word_key order: a stable sort by length of the sorted tuples
     words = sorted(pts)
     words.sort(key=len)

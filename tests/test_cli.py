@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from progvc.bounds import MAX_BITS
 from progvc.cli import _json_text, main
-from progvc.freegroup import MAX_RANK, MAX_TRIE_SLOTS, MAX_WORD_LEN
+from progvc.freegroup import MAX_RANK, MAX_TRIE_SLOTS, MAX_WORD_LEN, _PrefixTrie, is_shattered_free, parse_word
 from progvc.heisenberg import HProgressionSpec, enumerate_progression, membership, parse_point
 
 P11_CSV = "\n".join(
@@ -408,6 +408,35 @@ def test_free_search_report_digests(capsys, size):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FREE_SEARCH_DIGESTS[size]
+
+
+@pytest.mark.parametrize("size", sorted(FREE_SEARCH_DIGESTS))
+def test_free_search_builds_no_vertex_words(capsys, monkeypatch, size):
+    # The search decides every set from the trie's edges, counts and rows.
+    def no_words(trie):
+        raise AssertionError("vertex words built")
+
+    monkeypatch.setattr(_PrefixTrie, "words", property(no_words))
+    with pytest.raises(AssertionError, match="vertex words built"):
+        is_shattered_free([parse_word(2, "1^1"), parse_word(2, "2^1")])
+    argv = ["free", "search", "--k", "2", "--size", size, "--samples", "3000", "--seed", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE_SEARCH_DIGESTS[size]
+
+
+def test_free_search_answers_for_words_past_the_trie_letter_budget(capsys):
+    # Words of up to 10,000 letters: the first two sets' minimal trees have
+    # about 14,000 vertices each, whose words would hold over 5 * 10^7
+    # letters, five times MAX_TRIE_SLOTS. The digest is that of the report
+    # free search printed before it had a trie budget.
+    argv = ["free", "search", "--k", "2", "--size", "2", "--samples", "3", "--max-len", str(MAX_WORD_LEN)]
+    code, out = run(capsys, *argv, "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["verdicts"]["shattered"] == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "536bb21a8b848313966dff2edf4724f3d93cb0c271c3c9f9e62a63c6274997ab"
+    )
 
 
 @pytest.mark.parametrize("k, code", [(MAX_RANK, 0), (MAX_RANK + 1, 2)])

@@ -8,10 +8,12 @@ against a brute-force scan over the reference ``minimal_tree``.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from progvc import freegroup
 from progvc.errors import DomainError, ResourceLimitError
 from progvc.freegroup import (
     _decide_shattered,
@@ -19,7 +21,7 @@ from progvc.freegroup import (
     _encode,
     _leaf_only,
     _PrefixTrie,
-    _sample_codes,
+    _rebase,
     _sample_point_codes,
     DominatingSequence,
     FProgressionSpec,
@@ -676,6 +678,30 @@ def test_trie_parts_match_the_branches_oracle(points):
         assert trie.parts(c) == branches(tree, trie.vertex(c))
 
 
+@settings(max_examples=100, deadline=None)
+@given(ranked_point_sets())
+def test_trie_charges_rows_when_made_and_letters_when_words_are_built(points):
+    pts = sorted(points, key=word_key)
+    rank, tree = pts[0].rank, minimal_tree(pts)
+    rows = 3 * rank * len(tree)
+    letters = sum(len(v) for v in tree.vertices)
+    trie = _PrefixTrie.of(pts)
+    assert {trie.vertex(c) for c in range(len(trie.edge))} == tree.vertices
+    # The whole charge is one slot per letter of every vertex's word and
+    # three rank-long rows per vertex, as when the words were always built.
+    with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows + letters):
+        assert len(_PrefixTrie.of(pts).words) == len(tree)
+    with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows + letters - 1):
+        with pytest.raises(ResourceLimitError):
+            _PrefixTrie.of(pts).words
+    # Without the words, only the rows count.
+    with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows):
+        assert len(_PrefixTrie.of(pts).rows()[0]) == len(tree)
+    with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows - 1):
+        with pytest.raises(ResourceLimitError):
+            _PrefixTrie.of(pts)
+
+
 def test_generator_witness_examples():
     spec = generator_shatter_witness(2, (1, 1), [1])
     assert str(spec.translate) == "1^1*2^1"
@@ -772,13 +798,26 @@ def reference_point_set(rng, rank, size, max_len):
     return frozenset(pts)
 
 
+def test_code_sampler_draws_what_sample_word_draws_at_every_bit_width():
+    # Ranks 1-9 and max_len 0-70 take the range sizes 2k, 2k - 1 and
+    # max_len + 1 across the powers of two 1 to 64, where the bit width of
+    # each draw and the share of redrawn values change.
+    slow, fast = random.Random(17), random.Random(17)
+    for rank in range(1, 10):
+        for max_len in range(71):
+            for _ in range(3):
+                want = sample_word(slow, rank, max_len).letters
+                assert [_decode(w) for w in _sample_point_codes(fast, rank, 1, max_len)] == [want]
+            assert fast.getstate() == slow.getstate(), (rank, max_len)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 9), st.integers(0, 70), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_code_sampler_draws_what_sample_word_draws(rank, max_len, size, seed):
     slow, fast = random.Random(seed), random.Random(seed)
     for _ in range(5):
         want = sample_word(slow, rank, max_len).letters
-        assert _decode(_sample_codes(fast, rank, max_len)) == want
+        assert [_decode(w) for w in _sample_point_codes(fast, rank, 1, max_len)] == [want]
     assert fast.getstate() == slow.getstate()
     state = fast.getstate()
     try:
@@ -806,7 +845,9 @@ def test_code_sampler_draws_what_sample_word_draws(rank, max_len, size, seed):
 @example(frozenset(w2(t) for t in ("e", "1^1*2^1", "1^1*2^1*1^1", "1^1*2^2")))
 def test_leaf_check_matches_minimal_tree_leaves(points):
     pts = sorted(points, key=word_key)
-    assert _leaf_only(codes(pts)) == (leaves(minimal_tree(pts)) == frozenset(pts))
+    words = codes(pts)
+    rebased = [_rebase(words[0], x) for x in words]
+    assert _leaf_only(rebased) == (leaves(minimal_tree(pts)) == frozenset(pts))
 
 
 @settings(max_examples=60, deadline=None)
