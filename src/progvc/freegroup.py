@@ -17,17 +17,19 @@ Shattering questions for these translates are decided exactly, on plain
 tuples of letter codes: the code of a letter is its rank in word_key order
 (a_1, a_1^-1, a_2, a_2^-1, ... are 0, 1, 2, 3, ...), so the inverse of
 code c is c ^ 1, its generator is a_(c >> 1 + 1), and word_key order on
-reduced words is (length, tuple) order on their codes. With b the
-word_key-least point, the minimal tree of X is the prefix trie of the
-reduced words b^-1 x. Any cutting translate slides to an entry vertex h
-of that tree without changing its trace, and at h only the
-componentwise-minimal bounds matter. So the traces cut out at h
-are the intersections of one threshold set {x : d_i(h, x) <= t} per
-coordinate i. Visiting the vertices in word_key order and keeping, for
-each trace, the first vertex and its minimal bounds gives the trace family
-that every shattering question here reads. Tripod profiles, dominating
-sequences and entry points read the same trie. The public, path-based
-``minimal_tree`` and ``leaves`` are the slow reference it is tested against.
+reduced words is (length, tuple) order on their codes. With top the
+longest common prefix of the points' code words, the minimal tree of X is
+the prefix trie of the words past top, rooted at top: a vertex's word is
+top plus its trie path, so word_key order on the vertices is breadth-first
+order with children in code order. Any cutting translate slides to an
+entry vertex h of that tree without changing its trace, and at h only the
+componentwise-minimal bounds matter. So the traces cut out at h are the
+intersections of one threshold set {x : d_i(h, x) <= t} per coordinate i.
+Visiting the vertices in word_key order and keeping, for each trace, the
+first vertex and its minimal bounds gives the trace family that every
+shattering question here reads. Tripod profiles, dominating sequences and
+entry points read the same trie. The public, path-based ``minimal_tree``
+and ``leaves`` are the slow reference it is tested against.
 
 ``free search`` draws its sets as code tuples from ``getrandbits``, rejects
 non-leaf sets before building a trie, never builds the trie's vertex words,
@@ -52,10 +54,10 @@ MAX_WORD_LEN = 10_000
 # Largest rank: several paths allocate per generator.
 MAX_RANK = 10_000
 # Pointer slots a _PrefixTrie may fill: three rank-long rows per vertex (letter
-# counts, distances, threshold masks) when it is made, one per letter of each
-# vertex's word where the words are built (free search never builds them). At
-# 8 bytes a slot that is 80 MB, well below a 700 MB address space and far above
-# the tests (under 600,000). 1^3000,1^-3000 fits; 1^10000,1^-10000 needs 10^8.
+# counts, distances, threshold masks) when it is made, and one per letter of
+# each vertex word that ``vertex`` builds, when it builds it (free search builds
+# none; free shatter one per witness translate). At 8 bytes a slot that is 80 MB,
+# well below a 700 MB address space and far above the tests (under 600,000).
 MAX_TRIE_SLOTS = 10_000_000
 
 
@@ -306,12 +308,11 @@ def dominating_sequence(points: Iterable[FWord], p: FWord) -> DominatingSequence
     """
     pts = set(points)
     rank = _common_rank(pts)
-    trie = _PrefixTrie.of(sorted(pts, key=word_key))
-    code = _encode(p.letters)
-    if p.rank != rank or p in pts or code not in trie.words:
+    trie = _PrefixTrie.of(list(pts))
+    c = None if p.rank != rank or p in pts else trie.find(_encode(p.letters))
+    if c is None:
         raise DomainError("center must be a vertex of the minimal tree outside the point set")
-    # The root is a point, so the center is not the root.
-    parts = trie.parts(trie.words.index(code)) + (frozenset([p]),)
+    parts = trie.parts(c) + (frozenset([p]),)
     dists = {x: dist_vector(p, x) for x in pts}
 
     # Deterministic argmax: largest distance, then smallest word.
@@ -409,51 +410,47 @@ def _decode(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-(c >> 1) - 1 if c & 1 else (c >> 1) + 1 for c in codes)
 
 
-def _rebase(base: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
-    """Codes of the reduced word base^-1 * x, for reduced base and x."""
-    common = 0
-    for a, c in zip(base, x):
-        if a != c:
-            break
-        common += 1
-    return tuple(a ^ 1 for a in reversed(base[common:])) + x[common:]
-
-
-def _leaf_only(rebased: Sequence[tuple[int, ...]]) -> bool:
-    """Whether every point has degree at most 1 in the prefix trie of the
-    rebased words, ``rebased[0]`` the base's own: the root has one child
-    per distinct first letter, and any other point must be a prefix of no
-    other rebased word. Sorted order puts a word's extensions right after it.
+def _leaf_only(words: Sequence[tuple[int, ...]]) -> bool:
+    """Whether every point has degree at most 1 in the minimal tree of the
+    distinct code words ``words``. Only the root, the least word when it is
+    a prefix of the greatest, may be a prefix of other points, and then only
+    with one letter after it in all of them. Sorted order puts a word's
+    extensions right after it.
     """
-    words = sorted(rebased[1:])
-    if words and words[0][0] != words[-1][0]:
-        return False
+    words = sorted(words)
+    root = words[0]
+    if words[-1][: len(root)] == root:
+        words = words[1:]
+        if words and words[0][len(root)] != words[-1][len(root)]:
+            return False
     return all(b[: len(a)] != a for a, b in zip(words, words[1:]))
 
 
 class _PrefixTrie:
-    """The minimal tree of a point set, as the prefix trie of the code
-    words b^-1 x rebased at the first point b.
+    """The minimal tree of a point set, as the prefix trie of the points'
+    code words past ``top``, their longest common prefix.
 
-    Node c stands for the vertex b * p_c, where p_c is the trie prefix of c;
-    node 0 is b. ``kids[c]`` maps a letter to the child across it, ``edge[c]``
-    is the parent and letter of the edge into c, ``below[c]`` is the bitmask
-    of points (bit j for the j-th point) in the subtree of c, ``at[j]`` is
-    the node of point j, and ``words[c]``, built on first use, is the reduced
-    word of vertex c. Past ``MAX_TRIE_SLOTS``, rows counted when the trie is
-    made and letters when the words are, it raises ResourceLimitError.
+    Node c is the vertex whose word is ``top`` plus the trie path to c, so
+    node 0 is ``top``, the vertex nearest the identity. ``kids[c]`` maps a
+    letter to the child across it, ``edge[c]`` is the parent and letter of
+    the edge into c, ``below[c]`` is the bitmask of points (bit j for the
+    j-th word) in the subtree of c, and ``at[j]`` is the node of point j.
+    Past ``MAX_TRIE_SLOTS``, rows charged when the trie is made and letters
+    when ``vertex`` builds a word, it raises ResourceLimitError.
     """
 
-    def __init__(self, rank: int, base: tuple[int, ...], rebased: Sequence[tuple[int, ...]]):
-        self.rank, self.base, self.n, self._words = rank, base, len(rebased), None
+    def __init__(self, rank: int, words: Sequence[tuple[int, ...]]):
+        lo, hi = min(words), max(words)
+        k = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b), len(lo))
+        self.rank, self.top, self.n, self.slots = rank, lo[:k], len(words), 0
         self.kids = kids = [{}]
         self.edge = edge = [(0, 0)]
         self.below = below = [(1 << self.n) - 1]
         self.at = []
-        for j, x in enumerate(rebased):
+        for j, x in enumerate(words):
             bit = 1 << j
             c = 0
-            for a in x:
+            for a in x[k:]:
                 child = kids[c].get(a)
                 if child is None:
                     child = len(edge)
@@ -464,73 +461,74 @@ class _PrefixTrie:
                 c = child
                 below[c] |= bit
             self.at.append(c)
-        if 3 * rank * len(edge) > MAX_TRIE_SLOTS:
+        self._charge(3 * rank * len(edge))
+
+    def _charge(self, slots: int) -> None:
+        self.slots += slots
+        if self.slots > MAX_TRIE_SLOTS:
             raise ResourceLimitError(f"the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots")
 
-    @property
-    def words(self) -> list[tuple[int, ...]]:
-        if self._words is None:
-            slots = MAX_TRIE_SLOTS - 3 * self.rank * len(self.edge) - len(self.base)
-            words = [self.base]
-            for c, a in self.edge[1:]:
-                if slots < 0:
-                    break
-                w = words[c]
-                w = w[:-1] if w and w[-1] == a ^ 1 else w + (a,)
-                slots -= len(w)
-                words.append(w)
-            if slots < 0:
-                raise ResourceLimitError(f"the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots")
-            self._words = words
-        return self._words
-
     @classmethod
-    def of(cls, points_sorted: Sequence[FWord]) -> "_PrefixTrie":
-        words = [_encode(x.letters) for x in points_sorted]
-        return cls(points_sorted[0].rank, words[0], [_rebase(words[0], x) for x in words])
+    def of(cls, points: Sequence[FWord]) -> "_PrefixTrie":
+        return cls(points[0].rank, [_encode(x.letters) for x in points])
+
+    def order(self) -> list[int]:
+        """The nodes in word_key order of their vertices."""
+        order = [0]
+        for c in order:
+            order.extend(self.kids[c][a] for a in sorted(self.kids[c]))
+        return order
+
+    def find(self, code: tuple[int, ...]) -> Optional[int]:
+        """The node of the vertex with code word ``code``, or None when it is
+        not a vertex of the tree."""
+        k = len(self.top)
+        c = 0 if code[:k] == self.top else None
+        for a in code[k:]:
+            c = None if c is None else self.kids[c].get(a)
+        return c
 
     def vertex(self, c: int) -> FWord:
-        return FWord(self.rank, _decode(self.words[c]))
+        path = []
+        while c:
+            c, a = self.edge[c]
+            path.append(a)
+        self._charge(len(self.top) + len(path))
+        return FWord(self.rank, _decode(self.top + tuple(reversed(path))))
 
     def parts(self, c: int) -> tuple[frozenset, ...]:
-        """The vertex sets of the components of the tree minus node c, each
-        child subtree of c and the part above c when c is not the root, in
-        word_key order of their least vertices.
-
-        Children have larger indices than their parents, so one forward pass
-        over ``edge`` puts every node after c in its part; the nodes before
-        c lie above it.
+        """The vertex sets of the components of the tree minus node c, in
+        word_key order: the part above c, which holds the root, unless c is
+        the root, then the child subtrees of c in the code order of their
+        edges. Children have larger indices than their parents, so one
+        forward pass over ``edge`` puts every node after c in its part; the
+        nodes before c lie above it.
         """
-        part_of: dict[int, list[int]] = {}
-        subtrees, above = [], list(range(c))
+        kids = self.kids[c]
+        part_of = {d: [d] for d in kids.values()}
+        above = list(range(c))
         for d in range(c + 1, len(self.edge)):
             parent = self.edge[d][0]
-            if parent == c:
-                subtrees.append([d])
-                part_of[d] = subtrees[-1]
-            elif parent in part_of:
+            if parent in part_of:
                 part_of[d] = part_of[parent]
                 part_of[d].append(d)
-            else:
+            elif parent != c:
                 above.append(d)
-        parts = subtrees + [above] if c else subtrees
-        words = self.words
-        parts.sort(key=lambda part: min((len(words[d]), words[d]) for d in part))
+        parts = ([above] if c else []) + [part_of[kids[a]] for a in sorted(kids)]
         return tuple(frozenset(map(self.vertex, part)) for part in parts)
 
     def tripod_center(self) -> Optional[int]:
         """The vertex outside the points whose three branches hold a third
         of the points each, or None; the point count is a multiple of 3.
 
-        Such a vertex is not the root, so its branches are its two child
-        subtrees and the part above, which holds the remaining third. It is
+        Its branches are its child subtrees and, off the root, the part
+        above, which holds the points its child subtrees do not. It is
         unique: the two branches of a second one that avoid the first would
         both lie in a single branch of the first.
         """
         arm, points = self.n // 3, set(self.at)
-        for c in range(1, len(self.edge)):
-            kids = self.kids[c]
-            if len(kids) == 2 and c not in points and all(self.below[d].bit_count() == arm for d in kids.values()):
+        for c, kids in enumerate(self.kids):
+            if len(kids) + (c > 0) == 3 and c not in points and all(self.below[d].bit_count() == arm for d in kids.values()):
                 return c
         return None
 
@@ -538,7 +536,7 @@ class _PrefixTrie:
         """``rows[c][i][j]`` = d_{i+1}(vertex c, point j), and
         ``masks[c][i]`` = ``_thresholds(rows[c][i])``.
 
-        At the root it is cnt(point j), the letter count of its rebased word.
+        At the root it is cnt(point j), the letter count of its word past top.
         Crossing the edge into a child labelled a_i^(+-1) changes coordinate
         i only: by -1 for the points below the child, +1 for the rest. The
         child shares its other coordinates' lists with its parent, so each
@@ -606,8 +604,8 @@ def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> Sh
     trie = _PrefixTrie.of(pts)
     full = (1 << trie.n) - 1
     traces = {0: _empty_trace_spec(pts)}
-    words, (rows, masks) = trie.words, trie.rows()
-    for c in sorted(range(len(words)), key=lambda c: (len(words[c]), words[c])):
+    rows, masks = trie.rows()
+    for c in trie.order():
         row, vertex = rows[c], None
         for t in _vertex_traces(masks[c], full):
             if t not in traces:
@@ -644,8 +642,7 @@ def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[froze
     _common_rank(pts)
     if not pts or len(pts) % 3:
         raise DomainError(f"point count {len(pts)} is not a positive multiple of 3")
-    ordered = sorted(pts, key=word_key)
-    trie = _PrefixTrie.of(ordered)
+    trie = _PrefixTrie.of(list(pts))
     c = trie.tripod_center()
     if c is None:
         return None
@@ -661,10 +658,9 @@ def _decide_shattered(rank: int, words: Sequence[tuple[int, ...]]) -> str:
     connected, so a shattered set consists of leaves of its minimal tree;
     and a shattered set of size 3k admits a tripod vertex.
     """
-    rebased = [_rebase(words[0], x) for x in words]
-    if not _leaf_only(rebased):
+    if not _leaf_only(words):
         return "rejected-leaf"
-    trie = _PrefixTrie(rank, words[0], rebased)
+    trie = _PrefixTrie(rank, words)
     if trie.n == 3 * rank and trie.tripod_center() is None:
         return "rejected-tripod"
     full = (1 << trie.n) - 1

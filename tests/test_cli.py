@@ -353,17 +353,31 @@ def test_free_shatter_word_over_length_cap_exits_2(capsys, points):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "k, points", [("1", "1^10000,1^-10000"), (str(MAX_RANK), "1^1000,10000^-1000")], ids=["letters", "rank"]
-)
+@pytest.mark.parametrize("k, points", [(str(MAX_RANK), "1^1000,10000^-1000")], ids=["rank"])
 def test_free_shatter_past_the_trie_slot_budget_exits_2(capsys, k, points):
-    # The first set's trie words hold 10^8 letters in all, the second's
-    # rows 6 * 10^7 slots: about a gigabyte, or a MemoryError, if stored.
+    # The trie's rows would hold 6 * 10^7 slots: about a gigabyte, or a
+    # MemoryError, if stored.
     start = time.perf_counter()
     code, out, err = run_stderr(capsys, "free", "shatter", "--k", k, "--points", points)
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
     assert err == f"resource limit: the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots\n"
+
+
+def test_free_shatter_builds_only_the_witness_words_of_long_words(capsys):
+    # The trie's 20,001 vertex words would hold 10^8 letters; the four
+    # witnesses name three vertices.
+    start = time.perf_counter()
+    code, report = run_json(capsys, "free", "shatter", "--k", "1", "--points", "1^10000,1^-10000")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert report["result"]["verdict"] == "shattered"
+    assert [row["witness"] for row in report["result"]["witnesses"]] == [
+        "1^10001*P(0)",
+        "1^-1*P(9999)",
+        "1^1*P(9999)",
+        "e*P(10000)",
+    ]
 
 
 def test_free_example_f2_reports_failure(capsys):
@@ -413,10 +427,10 @@ def test_free_search_report_digests(capsys, size):
 @pytest.mark.parametrize("size", sorted(FREE_SEARCH_DIGESTS))
 def test_free_search_builds_no_vertex_words(capsys, monkeypatch, size):
     # The search decides every set from the trie's edges, counts and rows.
-    def no_words(trie):
+    def no_words(trie, c):
         raise AssertionError("vertex words built")
 
-    monkeypatch.setattr(_PrefixTrie, "words", property(no_words))
+    monkeypatch.setattr(_PrefixTrie, "vertex", no_words)
     with pytest.raises(AssertionError, match="vertex words built"):
         is_shattered_free([parse_word(2, "1^1"), parse_word(2, "2^1")])
     argv = ["free", "search", "--k", "2", "--size", size, "--samples", "3000", "--seed", "1"]

@@ -21,7 +21,6 @@ from progvc.freegroup import (
     _encode,
     _leaf_only,
     _PrefixTrie,
-    _rebase,
     _sample_point_codes,
     DominatingSequence,
     FProgressionSpec,
@@ -673,9 +672,32 @@ def test_trie_parts_match_the_branches_oracle(points):
     # Every node, the root and the points included.
     pts = sorted(points, key=word_key)
     trie, tree = _PrefixTrie.of(pts), minimal_tree(pts)
-    assert len(trie.words) == len(tree)
-    for c in range(len(trie.words)):
+    assert len(trie.edge) == len(tree)
+    for c in range(len(trie.edge)):
         assert trie.parts(c) == branches(tree, trie.vertex(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_point_sets())
+# The common prefix is a point: 1^1, then e.
+@example(frozenset(w2(t) for t in ("1^1", "1^2", "1^1*2^1")))
+@example(frozenset(w2(t) for t in ("e", "1^1", "2^-1")))
+# The tripod center e is the root and no point: the README's free tripod set.
+@example(frozenset(w2(t) for t in ("1^1", "2^1", "1^-1")))
+def test_trie_order_find_and_tripod_center_match_the_minimal_tree(points):
+    pts = sorted(points, key=word_key)
+    rank, trie, tree = pts[0].rank, _PrefixTrie.of(pts), minimal_tree(pts)
+    assert trie.order() == sorted(range(len(trie.edge)), key=lambda c: word_key(trie.vertex(c)))
+    for v in tree.vertices:
+        assert trie.vertex(trie.find(_encode(v.letters))) == v
+    steps = [generator(rank, i) for i in range(1, rank + 1)]
+    steps += [invert(g) for g in steps]
+    for u in {multiply(v, g) for v in tree.vertices for g in steps} - tree.vertices:
+        assert trie.find(_encode(u.letters)) is None
+    if len(pts) % 3 == 0:
+        tripod = oracle_tripod(pts)
+        center = None if tripod is None else trie.find(_encode(tripod[0].letters))
+        assert trie.tripod_center() == center
 
 
 @settings(max_examples=100, deadline=None)
@@ -687,13 +709,16 @@ def test_trie_charges_rows_when_made_and_letters_when_words_are_built(points):
     letters = sum(len(v) for v in tree.vertices)
     trie = _PrefixTrie.of(pts)
     assert {trie.vertex(c) for c in range(len(trie.edge))} == tree.vertices
-    # The whole charge is one slot per letter of every vertex's word and
-    # three rank-long rows per vertex, as when the words were always built.
+    # The whole charge is three rank-long rows per vertex and one slot per
+    # letter of each vertex word built.
     with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows + letters):
-        assert len(_PrefixTrie.of(pts).words) == len(tree)
+        trie = _PrefixTrie.of(pts)
+        assert {trie.vertex(c) for c in range(len(trie.edge))} == tree.vertices
     with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows + letters - 1):
         with pytest.raises(ResourceLimitError):
-            _PrefixTrie.of(pts).words
+            trie = _PrefixTrie.of(pts)
+            for c in range(len(trie.edge)):
+                trie.vertex(c)
     # Without the words, only the rows count.
     with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows):
         assert len(_PrefixTrie.of(pts).rows()[0]) == len(tree)
@@ -845,9 +870,7 @@ def test_code_sampler_draws_what_sample_word_draws(rank, max_len, size, seed):
 @example(frozenset(w2(t) for t in ("e", "1^1*2^1", "1^1*2^1*1^1", "1^1*2^2")))
 def test_leaf_check_matches_minimal_tree_leaves(points):
     pts = sorted(points, key=word_key)
-    words = codes(pts)
-    rebased = [_rebase(words[0], x) for x in words]
-    assert _leaf_only(rebased) == (leaves(minimal_tree(pts)) == frozenset(pts))
+    assert _leaf_only(codes(pts)) == (leaves(minimal_tree(pts)) == frozenset(pts))
 
 
 @settings(max_examples=60, deadline=None)
