@@ -31,9 +31,10 @@ shattering question here reads. Tripod profiles, dominating sequences and
 entry points read the same trie. The public, path-based ``minimal_tree``
 and ``leaves`` are the slow reference it is tested against.
 
-``free search`` draws its sets as code tuples from ``getrandbits``, rejects
-non-leaf sets before building a trie, never builds the trie's vertex words,
-and makes ``FWord`` objects only for the sets it lists.
+``free search`` draws its sets as code tuples from ``getrandbits``, sorts
+each once, runs the leaf and tripod filters on the sorted tuples, builds a
+trie only for the sets that reach the scan, never builds the trie's vertex
+words, and makes ``FWord`` objects only for the sets it lists.
 """
 
 from __future__ import annotations
@@ -410,20 +411,57 @@ def _decode(codes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-(c >> 1) - 1 if c & 1 else (c >> 1) + 1 for c in codes)
 
 
+def _prefix_len(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """The length of the longest common prefix of code words u <= v."""
+    return next((i for i, (a, b) in enumerate(zip(u, v)) if a != b), len(u))
+
+
 def _leaf_only(words: Sequence[tuple[int, ...]]) -> bool:
     """Whether every point has degree at most 1 in the minimal tree of the
-    distinct code words ``words``. Only the root, the least word when it is
-    a prefix of the greatest, may be a prefix of other points, and then only
-    with one letter after it in all of them. Sorted order puts a word's
-    extensions right after it.
+    distinct code words ``words``, in lexicographic order. Only the root, the
+    least word when it is a prefix of the greatest, may be a prefix of other
+    points, and then only with one letter after it in all of them. A word's
+    extensions come right after it.
     """
-    words = sorted(words)
     root = words[0]
     if words[-1][: len(root)] == root:
         words = words[1:]
         if words and words[0][len(root)] != words[-1][len(root)]:
             return False
     return all(b[: len(a)] != a for a, b in zip(words, words[1:]))
+
+
+def _tripod_center(words: Sequence[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    """The code word of the vertex outside the points with three branches
+    of n/3 points each, or None, for n distinct code words in lexicographic
+    order, n a multiple of 3. It is unique: two branches of a second one
+    would lie in one branch of the first.
+
+    A vertex's subtree holds consecutive words. At the root ``top``, the
+    words' common prefix, the letter after top forms three blocks of n/3
+    words. Any other center c is the common prefix of 2n/3 consecutive
+    words, not the first of them, that neither neighbour starts with, and
+    the letter after c changes once, after n/3 of them.
+    """
+    arm = len(words) // 3
+    k = _prefix_len(words[0], words[-1])
+    if len(words[0]) > k:
+        after = [w[k] for w in words]
+        if after[0] == after[arm - 1] != after[arm] == after[2 * arm - 1] != after[2 * arm] == after[-1]:
+            return words[0][:k]
+    for i in range(arm + 1):
+        first, last = words[i], words[i + 2 * arm - 1]
+        m = _prefix_len(first, last)
+        c = first[:m]
+        if (
+            m < len(first)
+            and (i == 0 or words[i - 1][:m] != c)
+            and (i == arm or words[i + 2 * arm][:m] != c)
+            and first[m] == words[i + arm - 1][m]
+            and words[i + arm][m] == last[m]
+        ):
+            return c
+    return None
 
 
 class _PrefixTrie:
@@ -440,8 +478,8 @@ class _PrefixTrie:
     """
 
     def __init__(self, rank: int, words: Sequence[tuple[int, ...]]):
-        lo, hi = min(words), max(words)
-        k = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b), len(lo))
+        lo = min(words)
+        k = _prefix_len(lo, max(words))
         self.rank, self.top, self.n, self.slots = rank, lo[:k], len(words), 0
         self.kids = kids = [{}]
         self.edge = edge = [(0, 0)]
@@ -516,21 +554,6 @@ class _PrefixTrie:
                 above.append(d)
         parts = ([above] if c else []) + [part_of[kids[a]] for a in sorted(kids)]
         return tuple(frozenset(map(self.vertex, part)) for part in parts)
-
-    def tripod_center(self) -> Optional[int]:
-        """The vertex outside the points whose three branches hold a third
-        of the points each, or None; the point count is a multiple of 3.
-
-        Its branches are its child subtrees and, off the root, the part
-        above, which holds the points its child subtrees do not. It is
-        unique: the two branches of a second one that avoid the first would
-        both lie in a single branch of the first.
-        """
-        arm, points = self.n // 3, set(self.at)
-        for c, kids in enumerate(self.kids):
-            if len(kids) + (c > 0) == 3 and c not in points and all(self.below[d].bit_count() == arm for d in kids.values()):
-                return c
-        return None
 
     def rows(self) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
         """``rows[c][i][j]`` = d_{i+1}(vertex c, point j), and
@@ -639,30 +662,33 @@ def tripod_profile(points: Iterable[FWord]) -> Optional[tuple[FWord, tuple[froze
     must exist, so absence certifies non-shattering for those sets.
     """
     pts = set(points)
-    _common_rank(pts)
+    rank = _common_rank(pts)
     if not pts or len(pts) % 3:
         raise DomainError(f"point count {len(pts)} is not a positive multiple of 3")
-    trie = _PrefixTrie.of(list(pts))
-    c = trie.tripod_center()
-    if c is None:
+    words = sorted(_encode(x.letters) for x in pts)
+    center = _tripod_center(words)
+    if center is None:
         return None
+    trie = _PrefixTrie(rank, words)
+    c = trie.find(center)
     return trie.vertex(c), trie.parts(c)
 
 
 def _decide_shattered(rank: int, words: Sequence[tuple[int, ...]]) -> str:
-    """Verdict for distinct code words in word_key order, cheapest
+    """Verdict for distinct code words in lexicographic order, cheapest
     certificates first.
 
     Returns one of "rejected-leaf", "rejected-tripod", "rejected-scan",
     "shattered". The two filters are sound: translated progressions are
     connected, so a shattered set consists of leaves of its minimal tree;
-    and a shattered set of size 3k admits a tripod vertex.
+    and a shattered set of size 3k admits a tripod vertex. Both read the
+    sorted words, so only the sets that reach the scan build a trie.
     """
     if not _leaf_only(words):
         return "rejected-leaf"
-    trie = _PrefixTrie(rank, words)
-    if trie.n == 3 * rank and trie.tripod_center() is None:
+    if len(words) == 3 * rank and _tripod_center(words) is None:
         return "rejected-tripod"
+    trie = _PrefixTrie(rank, words)
     full = (1 << trie.n) - 1
     seen: set[int] = set()
     for mask_row in trie.rows()[1]:
@@ -685,9 +711,9 @@ def sample_word(rng: random.Random, rank: int, max_len: int) -> FWord:
 
 def _sample_point_codes(rng: random.Random, rank: int, size: int, max_len: int) -> list[tuple[int, ...]]:
     """Distinct words drawn as ``sample_word`` draws them until there are
-    ``size``, as codes in word_key order. An index below n is drawn as
+    ``size``, as codes in lexicographic order. An index below n is drawn as
     ``rng.getrandbits(n.bit_length())`` until it is below n: what ``randint``
-    and ``choice`` consume on CPython 3.10 to 3.13, where tests compare the
+    and ``choice`` consume on CPython 3.10 to 3.14, where tests compare the
     two. After code c, an index into the 2k - 1 letters skips c ^ 1.
     """
     getrandbits = rng.getrandbits
@@ -711,10 +737,7 @@ def _sample_point_codes(rng: random.Random, rank: int, size: int, max_len: int) 
         attempts += 1
         if attempts > 1000 * size:
             raise ResourceLimitError(f"could not sample {size} distinct words of length <= {max_len}")
-    # word_key order: a stable sort by length of the sorted tuples
-    words = sorted(pts)
-    words.sort(key=len)
-    return words
+    return sorted(pts)
 
 
 def sample_point_set(rng: random.Random, rank: int, size: int, max_len: int) -> frozenset:
@@ -754,7 +777,8 @@ def search_shattered_sets(
         verdict = _decide_shattered(rank, words)
         tally[verdict] += 1
         if verdict == "shattered":
-            shattered.append([format_word(FWord(rank, _decode(w))) for w in words])
+            # word_key order: a stable sort by length of the sorted tuples
+            shattered.append([format_word(FWord(rank, _decode(w))) for w in sorted(words, key=len)])
     return {
         "rank": rank,
         "size": size,

@@ -439,6 +439,24 @@ def test_free_search_builds_no_vertex_words(capsys, monkeypatch, size):
     assert hashlib.sha256(out.encode()).hexdigest() == FREE_SEARCH_DIGESTS[size]
 
 
+def test_free_search_builds_a_trie_only_for_sets_that_reach_the_scan(capsys, monkeypatch):
+    # The leaf and tripod filters read the sorted code words alone.
+    made = []
+    init = _PrefixTrie.__init__
+
+    def counted(trie, rank, words):
+        made.append(len(words))
+        init(trie, rank, words)
+
+    monkeypatch.setattr(_PrefixTrie, "__init__", counted)
+    argv = ["free", "search", "--k", "2", "--size", "6", "--samples", "3000", "--seed", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE_SEARCH_DIGESTS["6"]
+    verdicts = json.loads(out)["result"]["verdicts"]
+    assert len(made) == verdicts["rejected-scan"] + verdicts["shattered"] == 106
+
+
 def test_free_search_answers_for_words_past_the_trie_letter_budget(capsys):
     # Words of up to 10,000 letters: the first two sets' minimal trees have
     # about 14,000 vertices each, whose words would hold over 5 * 10^7

@@ -11,7 +11,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from progvc import freegroup
 from progvc.errors import DomainError, ResourceLimitError
@@ -22,6 +22,7 @@ from progvc.freegroup import (
     _leaf_only,
     _PrefixTrie,
     _sample_point_codes,
+    _tripod_center,
     DominatingSequence,
     FProgressionSpec,
     FWord,
@@ -632,7 +633,8 @@ def oracle_verdict(pts, missing):
 
 
 def codes(pts):
-    return [_encode(x.letters) for x in sorted(pts, key=word_key)]
+    # The order the sampler, the filters and the scan share.
+    return sorted(_encode(x.letters) for x in pts)
 
 
 def ranked_point_sets():
@@ -666,6 +668,73 @@ def test_trace_family_matches_brute_force_oracle(points):
     assert _decide_shattered(pts[0].rank, codes(pts)) == oracle_verdict(pts, missing)
 
 
+LETTERS3 = (1, -1, 2, -2, 3, -3)
+
+
+def tails(g, shortest):
+    # Reduced words of `shortest` to 2 letters that do not start with g^-1.
+    def word(a):
+        rest = st.sampled_from([b for b in LETTERS3 if b != -a])
+        return st.tuples(rest, st.integers(shortest, 2)).map(lambda t: (a, t[0])[: t[1]])
+
+    return st.sampled_from([a for a in LETTERS3 if a != -g]).flatmap(word)
+
+
+@st.composite
+def nine_point_sets(draw):
+    # Three points in each of three branches at a vertex v of F3, so v is a
+    # tripod center: the root when no branch holds the root, else below it.
+    # With `shortest` 2 every point is three steps from v, and the set is
+    # leaf-only unless a point in the branch above v lies on the way to
+    # another. Then one point may move to v or to a fourth branch, or the
+    # whole set is drawn at random.
+    v = draw(fwords(rank=3, max_len=2))
+    turns = draw(st.permutations(LETTERS3))
+    shortest = draw(st.integers(0, 2))
+    pts = set()
+    for g in turns[:3]:
+        for w in draw(st.lists(tails(g, shortest), min_size=3, max_size=3, unique=True)):
+            pts.add(FWord(3, v.letters + (g,) + w))
+    move = draw(st.sampled_from(["none", "to-center", "to-fourth-branch", "random"]))
+    if move == "random":
+        return draw(st.sets(fwords(rank=3, max_len=3), min_size=9, max_size=9))
+    if move != "none":
+        pts.remove(max(pts, key=word_key))
+        pts.add(v if move == "to-center" else FWord(3, v.letters + (turns[3],)))
+    assume(len(pts) == 9)
+    return frozenset(pts)
+
+
+def w3(text):
+    return parse_word(3, text)
+
+
+CENTER_AT_ROOT = ("1^2", "1^1*2^1", "1^1*2^-1", "2^2", "2^1*3^1", "2^1*3^-1", "3^2", "3^1*1^1", "3^1*1^-1")
+CENTER_BELOW_ROOT = ("1^1", "1^-1", "3^1", "2^3", "2^2*1^1", "2^2*1^-1", "2^1*3^2", "2^1*3^1*1^1", "2^1*3^1*1^-1")
+
+
+@settings(max_examples=20, deadline=None)
+@given(nine_point_sets())
+# A center at the root e; the 9 points are leaves, so the set reaches the scan.
+@example(frozenset(map(w3, CENTER_AT_ROOT)))
+# The root e is a point, where the center would be.
+@example(frozenset(map(w3, ("e",) + CENTER_AT_ROOT[1:])))
+# A center 2^1 below the root e; then a point at 2^1, where the center would be.
+@example(frozenset(map(w3, CENTER_BELOW_ROOT)))
+@example(frozenset(map(w3, ("2^1",) + CENTER_BELOW_ROOT[1:])))
+# No center: branches of 3, 3, 2 and 1 points at e.
+@example(frozenset(map(w3, CENTER_AT_ROOT[:-1] + ("3^-1",))))
+def test_tripod_scan_and_filters_on_nine_points_in_rank_three(points):
+    pts = sorted(points, key=word_key)
+    tripod = oracle_tripod(pts)
+    assert tripod_profile(pts) == tripod
+    assert _tripod_center(codes(pts)) == (None if tripod is None else _encode(tripod[0].letters))
+    verdict = _decide_shattered(3, codes(pts))
+    # The exact oracle only for the sets both filters pass.
+    missing = oracle_witnesses(pts)[1] if verdict in ("rejected-scan", "shattered") else None
+    assert verdict == oracle_verdict(pts, missing)
+
+
 @settings(max_examples=100, deadline=None)
 @given(ranked_point_sets())
 def test_trie_parts_match_the_branches_oracle(points):
@@ -684,7 +753,15 @@ def test_trie_parts_match_the_branches_oracle(points):
 @example(frozenset(w2(t) for t in ("e", "1^1", "2^-1")))
 # The tripod center e is the root and no point: the README's free tripod set.
 @example(frozenset(w2(t) for t in ("1^1", "2^1", "1^-1")))
-def test_trie_order_find_and_tripod_center_match_the_minimal_tree(points):
+# The root e is a point, and the center 1^1 lies below it.
+@example(frozenset(w2(t) for t in ("e", "2^1", "1^3", "1^2*2^1", "1^1*2^2", "1^1*2^1*1^1")))
+# 1^1, then 2^1, prefixes 4 points and leaves 2 above, but in three child subtrees.
+@example(frozenset(w2(t) for t in ("2^1", "2^-1", "1^2*2^1", "1^2*2^-1", "1^1*2^1", "1^1*2^-1")))
+@example(frozenset(w2(t) for t in ("1^1", "1^-1", "2^1*1^1", "2^1*1^-1", "2^2*1^1", "2^2*1^-1")))
+# The root e has four child subtrees, of 1, 1, 2, 2 and of 2, 1, 1, 2 points.
+@example(frozenset(w2(t) for t in ("1^1", "1^-1", "2^1*1^1", "2^1*1^-1", "2^-1*1^1", "2^-1*1^-1")))
+@example(frozenset(w2(t) for t in ("1^1*2^1", "1^1*2^-1", "1^-1", "2^1", "2^-1*1^1", "2^-1*1^-1")))
+def test_trie_order_find_and_tripod_scan_match_the_minimal_tree(points):
     pts = sorted(points, key=word_key)
     rank, trie, tree = pts[0].rank, _PrefixTrie.of(pts), minimal_tree(pts)
     assert trie.order() == sorted(range(len(trie.edge)), key=lambda c: word_key(trie.vertex(c)))
@@ -696,8 +773,9 @@ def test_trie_order_find_and_tripod_center_match_the_minimal_tree(points):
         assert trie.find(_encode(u.letters)) is None
     if len(pts) % 3 == 0:
         tripod = oracle_tripod(pts)
-        center = None if tripod is None else trie.find(_encode(tripod[0].letters))
-        assert trie.tripod_center() == center
+        center = _tripod_center(codes(pts))
+        assert center == (None if tripod is None else _encode(tripod[0].letters))
+        assert center is None or trie.vertex(trie.find(center)) == tripod[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -808,7 +886,8 @@ def test_codes_follow_word_key_order():
     want = [(), (0,), (1,), (2,), (3,), (0, 0), (0, 3), (3, 0)]
     assert [_encode(u.letters) for u in words] == want
     assert [_decode(_encode(u.letters)) for u in words] == [u.letters for u in words]
-    assert codes(reversed(words)) == [_encode(u.letters) for u in sorted(words, key=word_key)]
+    # Free search lists a shattered set by a stable sort by length.
+    assert sorted(codes(reversed(words)), key=len) == [_encode(u.letters) for u in sorted(words, key=word_key)]
 
 
 def reference_point_set(rng, rank, size, max_len):
