@@ -25,8 +25,6 @@ from .freegroup import (
     FProgressionSpec,
     FWord,
     cuts_out_free,
-    dist,
-    dist_i,
     dist_vector,
     dominating_sequence,
     format_word,
@@ -43,7 +41,6 @@ from .freegroup import (
     power,
     progression_contains,
     progression_trace,
-    normalize_entry_point,
     sample_point_set,
     sample_word,
     search_shattered_sets,
@@ -54,14 +51,11 @@ from .freegroup import (
 from .heisenberg import (
     HPoint,
     HProgressionSpec,
-    ReductionTrace,
     enumerate_progression,
     h_inv,
     h_mul,
-    h_pow,
     max_central,
     membership,
-    reduction_trace,
     witness_word,
     word_eval,
     verify_cells,

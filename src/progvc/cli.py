@@ -262,7 +262,7 @@ def cmd_free_witness(args) -> int:
     result = {
         "translate": str(spec.translate),
         "bounds": list(spec.bounds),
-        "subset": sorted(subset),
+        "subset": sorted(set(subset)),
         "verified": True,
     }
     _emit(args, result)

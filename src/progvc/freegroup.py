@@ -27,9 +27,9 @@ componentwise-minimal bounds matter. So the traces cut out at h are the
 intersections of one threshold set {x : d_i(h, x) <= t} per coordinate i.
 Visiting the vertices in word_key order and keeping, for each trace, the
 first vertex and its minimal bounds gives the trace family that every
-shattering question here reads. Tripod profiles, dominating sequences and
-entry points read the same trie. The public, path-based ``minimal_tree``
-and ``leaves`` are the slow reference it is tested against.
+shattering question here reads. Tripod profiles and dominating sequences
+read the same trie. The public, path-based ``minimal_tree`` and ``leaves``
+are the slow reference it is tested against.
 
 ``free search`` draws its sets as code tuples from ``getrandbits``, sorts
 each once, runs the leaf and tripod filters on the sorted tuples, builds a
@@ -94,9 +94,6 @@ class FWord:
 
     def __mul__(self, other: "FWord") -> "FWord":
         return multiply(self, other)
-
-    def inverse(self) -> "FWord":
-        return invert(self)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -188,25 +185,13 @@ def format_word(u: FWord) -> str:
     return "*".join(tokens)
 
 
-def dist_i(i: int, x: FWord, y: FWord) -> int:
-    """Occurrences of a_i or its inverse in the reduced word of x^-1 y."""
-    k = _same_rank(x, y)
-    if not 1 <= i <= k:
-        raise DomainError(f"coordinate {i} out of range 1..{k}")
-    return sum(1 for v in multiply(invert(x), y).letters if abs(v) == i)
-
-
 def dist_vector(x: FWord, y: FWord) -> tuple[int, ...]:
+    """(d_1(x, y), ..., d_k(x, y)): per generator, the occurrences of it or
+    its inverse in the reduced word of x^-1 y."""
     counts = [0] * _same_rank(x, y)
     for v in multiply(invert(x), y).letters:
         counts[abs(v) - 1] += 1
     return tuple(counts)
-
-
-def dist(x: FWord, y: FWord) -> int:
-    """Word metric: the length of the reduced word of x^-1 y."""
-    _same_rank(x, y)
-    return len(multiply(invert(x), y).letters)
 
 
 def path(v: FWord, w: FWord) -> list[FWord]:
@@ -364,32 +349,6 @@ def progression_contains(spec: FProgressionSpec, x: FWord) -> bool:
 
 def progression_trace(spec: FProgressionSpec, points: Iterable[FWord]) -> frozenset:
     return frozenset(x for x in points if progression_contains(spec, x))
-
-
-def normalize_entry_point(
-    connected_points: Iterable[FWord], spec: FProgressionSpec
-) -> Optional[FProgressionSpec]:
-    """Slide a translate to its entry vertex in a connected set.
-
-    For connected X, the point h of X closest to g lies on every geodesic
-    from g into X, so d_i(g, x) = d_i(g, h) + d_i(h, x) for all x in X and
-    the trace of g*P(Nbar) on X equals that of h*P(Nbar - dists(g, h)).
-    Returns None when some reduced bound would be negative, i.e. the
-    translate misses X entirely.
-    """
-    pts = set(connected_points)
-    rank = _common_rank(pts)
-    if len(spec.bounds) != rank:
-        raise DomainError("spec rank does not match the point set")
-    # Connected exactly when the minimal tree adds no vertex.
-    if len(_PrefixTrie.of(list(pts)).edge) != len(pts):
-        raise DomainError("point set is not connected")
-    g = spec.translate
-    h = min(pts, key=lambda x: (dist(g, x),) + word_key(x))
-    drop = dist_vector(g, h)
-    if any(d > n for d, n in zip(drop, spec.bounds)):
-        return None
-    return FProgressionSpec(tuple(n - d for n, d in zip(spec.bounds, drop)), h)
 
 
 def _empty_trace_spec(points_sorted: Sequence[FWord]) -> FProgressionSpec:
@@ -642,12 +601,11 @@ def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> Sh
     return ShatterReport(tuple(pts), traces)
 
 
-def cuts_out_free(
-    points: Iterable[FWord], subset: Iterable[FWord], cap: int = DEFAULT_SET_CAP
-) -> Optional[FProgressionSpec]:
+def cuts_out_free(points: Iterable[FWord], subset: Iterable[FWord]) -> Optional[FProgressionSpec]:
     """A translated progression whose trace on the points is exactly the
-    subset, or None if no translate achieves it."""
-    report = is_shattered_free(points, cap)
+    subset, or None if no translate achieves it. Past ``DEFAULT_SET_CAP``
+    points it raises ResourceLimitError."""
+    report = is_shattered_free(points)
     sub = set(subset)
     if not sub <= report.target:
         raise DomainError("subset must be contained in the point set")

@@ -42,9 +42,6 @@ class HPoint(NamedTuple):
 
 
 IDENTITY = HPoint(0, 0, 0)
-GEN_A = HPoint(1, 0, 0)
-GEN_B = HPoint(0, 1, 0)
-GEN_C = HPoint(0, 0, 1)
 
 
 def h_mul(p: Sequence[int], q: Sequence[int]) -> HPoint:
@@ -53,12 +50,6 @@ def h_mul(p: Sequence[int], q: Sequence[int]) -> HPoint:
 
 def h_inv(p: Sequence[int]) -> HPoint:
     return HPoint(-p[0], -p[1], -p[2] + p[0] * p[1])
-
-
-def h_pow(p: Sequence[int], n: int) -> HPoint:
-    """p**n in closed form, for any integer n: p**-1 is h_inv(p)."""
-    a, b, c = p
-    return HPoint(n * a, n * b, n * c + a * b * (n * (n - 1) // 2))
 
 
 def parse_point(text: str) -> HPoint:
@@ -123,6 +114,14 @@ def flip_b(word: str) -> str:
 
 
 def _trace_steps(word: str) -> Iterator[tuple[str, int]]:
+    """The reduction trace of a word: the steps (word_i, j_i) of sorting it
+    into B-block-then-A-block form.
+
+    Each step swaps the rightmost adjacent pair (A-type, B-type) and adds
+    the product of their signs to the running commutator exponent j. Every
+    step satisfies value(word_i) * C**j_i == value(word), so the final j
+    equals the c coordinate of the value.
+    """
     letters = list(word)
     n_a, n_b = word_counts(word)
     j = 0
@@ -145,31 +144,6 @@ def _trace_steps(word: str) -> Iterator[tuple[str, int]]:
         yield "".join(letters), j
     if any(x in _A_TYPE and y in _B_TYPE for x, y in zip(letters, letters[1:])):
         raise RuntimeError("sorting exceeded its inversion-count step bound")
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """Steps of sorting a word into B-block-then-A-block form.
-
-    Each step swaps the rightmost adjacent pair (A-type, B-type) and adds
-    the product of their signs to the running commutator exponent j. Every
-    intermediate pair (word_i, j_i) satisfies value(word_i) * C**j_i ==
-    value(original), so the final j equals the c coordinate of the value.
-    """
-
-    steps: tuple[tuple[str, int], ...]
-
-    @property
-    def word(self) -> str:
-        return self.steps[0][0]
-
-    @property
-    def final(self) -> tuple[str, int]:
-        return self.steps[-1]
-
-
-def reduction_trace(word: str) -> ReductionTrace:
-    return ReductionTrace(steps=tuple(_trace_steps(word)))
 
 
 @dataclass(frozen=True)

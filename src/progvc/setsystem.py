@@ -40,9 +40,10 @@ from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 from .errors import DomainError, ResourceLimitError
 
 # Guards for exhaustive searches. These stop runaway inputs; results below
-# the caps are exact, never sampled.
+# the caps are exact, never sampled. The VC and shatter-function searches
+# read WORK_CAP when they are called.
 DEFAULT_TARGET_CAP = 20
-DEFAULT_WORK_CAP = 2_000_000
+WORK_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,6 @@ class SetSystem:
 
     def members(self) -> tuple:
         return tuple(self.points_of(m) for m in self.masks)
-
-    def to_json(self) -> dict:
-        return {
-            "ground": list(self.ground),
-            "family": [[i for i in range(len(self.ground)) if m >> i & 1] for m in self.masks],
-        }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SetSystem":
@@ -308,9 +303,7 @@ def _walk(cols: list, compat: list, root: tuple, deepest: int, budget=math.inf) 
     return found, nodes
 
 
-def vc_dimension_exact(
-    sys: SetSystem, cap: int = DEFAULT_TARGET_CAP, work_cap: int = DEFAULT_WORK_CAP
-) -> Optional[int]:
+def vc_dimension_exact(sys: SetSystem, cap: int = DEFAULT_TARGET_CAP) -> Optional[int]:
     """Largest size of a shattered subset of the ground, by exhaustive search.
 
     Returns None for an empty family: no set is shattered, not even the
@@ -321,7 +314,7 @@ def vc_dimension_exact(
 
     ``cap`` bounds the subset size searched; a family that could still
     shatter a larger set raises ResourceLimitError with the certified lower
-    bound as ``partial``. ``work_cap`` bounds C(n, s): the walk stops short
+    bound as ``partial``. ``WORK_CAP`` bounds C(n, s): the walk stops short
     of the least size s with C(n, s) over it and 2^s <= |F|, and reaching
     s - 1 raises ResourceLimitError with s - 1 as ``partial``.
     """
@@ -332,15 +325,15 @@ def vc_dimension_exact(
     top = min(cap, n)
     # The sizes the search may certify: at most top, and 2^s <= |F|.
     deepest = min(top, size.bit_length() - 1)
-    # The least size s whose C(n, s) exceeds work_cap; it becomes a
+    # The least size s whose C(n, s) exceeds WORK_CAP; it becomes a
     # candidate once some (s-1)-set is known shattered, so the walk stops there.
-    s = next((k for k in range(1, deepest + 1) if math.comb(n, k) > work_cap), deepest + 1)
+    s = next((k for k in range(1, deepest + 1) if math.comb(n, k) > WORK_CAP), deepest + 1)
     every = (1 << n) - 1
     root = ([(1 << size) - 1], 0, every, 0)
     (_, best, _, _), _ = _walk(_columns(sys.masks, n), [every] * n, root, s - 1)
     if s <= deepest and best == s - 1:
         raise ResourceLimitError(
-            f"{math.comb(n, s)} candidate {s}-subsets exceed work cap {work_cap}", partial=best
+            f"{math.comb(n, s)} candidate {s}-subsets exceed work cap {WORK_CAP}", partial=best
         )
     if best >= top and top < n and size >= 2 ** (top + 1):
         raise ResourceLimitError(
@@ -350,7 +343,7 @@ def vc_dimension_exact(
     return best
 
 
-def translate_vc(K: Iterable, mul, inv, identity, work_cap: int = DEFAULT_WORK_CAP) -> dict:
+def translate_vc(K: Iterable, mul, inv, identity) -> dict:
     """Exact VC dimension of the left translates g*K of a finite K = K^-1
     in an infinite group with product ``mul`` and inverse ``inv``.
 
@@ -362,7 +355,7 @@ def translate_vc(K: Iterable, mul, inv, identity, work_cap: int = DEFAULT_WORK_C
     if s^-1*t is in B for each s in it. B and the translates keep the order
     of the products over K's order. The products of each stage (|K|^2 for
     B, |B|^2 for the pairs, |B|*|K| for the translates), checked before it
-    runs, and the walk's nodes share ``work_cap``; past it ResourceLimitError
+    runs, and the walk's nodes share ``WORK_CAP``; past it ResourceLimitError
     carries the certified depth as ``partial`` (1, for {identity}, in
     set-up). The witness maps each subset of the shattered set to a
     translate; only the empty one may need a translate outside B*K, None
@@ -372,16 +365,16 @@ def translate_vc(K: Iterable, mul, inv, identity, work_cap: int = DEFAULT_WORK_C
     if not K or set(map(inv, K)) != set(K):
         raise DomainError("K must be nonempty and closed under inverses")
     work = len(K) ** 2
-    if work > work_cap:
-        raise ResourceLimitError(f"{len(K)}^2 products for K*K exceed work cap {work_cap}", partial=1)
+    if work > WORK_CAP:
+        raise ResourceLimitError(f"{len(K)}^2 products for K*K exceed work cap {WORK_CAP}", partial=1)
     index = {}
     for a in K:
         for b in K:
             index.setdefault(mul(a, b), len(index))
     ground, n = list(index), len(index)
     work += n * n + n * len(K)  # for the pairs and the translates
-    if work > work_cap:
-        raise ResourceLimitError(f"{work} set-up products for |B| = {n} exceed work cap {work_cap}", partial=1)
+    if work > WORK_CAP:
+        raise ResourceLimitError(f"{work} set-up products for |B| = {n} exceed work cap {WORK_CAP}", partial=1)
     compat = [sum(1 << i for i, t in enumerate(ground) if mul(s_inv, t) in index) for s_inv in map(inv, ground)]
     traces = {}  # g*K holds b exactly when g = b*k for some k in K = K^-1.
     for i, b in enumerate(ground):
@@ -395,7 +388,7 @@ def translate_vc(K: Iterable, mul, inv, identity, work_cap: int = DEFAULT_WORK_C
     e, cols = index[identity], _columns(masks, n)
     root = ([cols[e], ((1 << len(masks)) - 1) ^ cols[e]], 1, ((1 << n) - 1) ^ (1 << e), 1 << e)
     deepest = len(masks).bit_length() - 1
-    (cells, vc, _, chosen), nodes = _walk(cols, compat, root, deepest, budget=work_cap - work)
+    (cells, vc, _, chosen), nodes = _walk(cols, compat, root, deepest, budget=WORK_CAP - work)
     bits = [i for i in range(n) if chosen >> i & 1]
     witness = {}
     for x in cells:
@@ -408,7 +401,7 @@ def translate_vc(K: Iterable, mul, inv, identity, work_cap: int = DEFAULT_WORK_C
     return {"vc": vc, "ground_size": n, "translates": len(traces), "nodes": nodes, "witness": report}
 
 
-def shatter_function(sys: SetSystem, n: int, work_cap: int = DEFAULT_WORK_CAP) -> int:
+def shatter_function(sys: SetSystem, n: int) -> int:
     """Maximum number of distinct traces over any n-point subset of the ground.
 
     A depth-first walk of the n-subsets keeps, per node, each member's trace
@@ -420,13 +413,14 @@ def shatter_function(sys: SetSystem, n: int, work_cap: int = DEFAULT_WORK_CAP) -
     frozen, and of distinct byte tuples across planes and lane after. Each
     appended point at most doubles the count, so a node with c traces at
     depth d is skipped once min(c * 2^(n-d), |F|) cannot beat the best
-    count, and the walk stops at min(2^n, |F|).
+    count, and the walk stops at min(2^n, |F|). More than ``WORK_CAP``
+    n-subsets of the ground raise ResourceLimitError.
     """
     g = len(sys.ground)
     if not 0 <= n <= g:
         raise DomainError(f"shatter function needs 0 <= n <= {g}, got {n}")
-    if math.comb(g, n) > work_cap:
-        raise ResourceLimitError(f"{math.comb(g, n)} candidate subsets exceed work cap {work_cap}")
+    if math.comb(g, n) > WORK_CAP:
+        raise ResourceLimitError(f"{math.comb(g, n)} candidate subsets exceed work cap {WORK_CAP}")
     size = len(sys.masks)
     if n == 0 or size == 0:
         return min(size, 1)

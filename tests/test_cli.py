@@ -494,6 +494,16 @@ def test_free_witness(capsys):
     assert report["result"]["verified"] is True
 
 
+def test_free_witness_reports_a_repeated_index_once(capsys):
+    # The translate cuts out the set {a_1}, so the report names index 1 once.
+    code, report = run_json(
+        capsys, "free", "witness", "--k", "2", "--bounds", "1,1", "--subset", "1,1"
+    )
+    assert code == 0
+    assert report["result"]["subset"] == [1]
+    assert report["result"]["translate"] == "1^1*2^1"
+
+
 @pytest.mark.parametrize(
     "flags", [("--bounds", "1,1", "--subset", "x"), ("--bounds", "a")], ids=["subset", "bounds"]
 )

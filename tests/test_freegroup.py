@@ -29,8 +29,6 @@ from progvc.freegroup import (
     MAX_RANK,
     MAX_WORD_LEN,
     cuts_out_free,
-    dist,
-    dist_i,
     dist_vector,
     dominating_sequence,
     format_word,
@@ -42,7 +40,6 @@ from progvc.freegroup import (
     leaves,
     minimal_tree,
     multiply,
-    normalize_entry_point,
     parse_word,
     path,
     power,
@@ -170,20 +167,21 @@ def test_word_key_orders_by_length_then_letters():
 def test_distance_examples():
     assert dist_vector(w2("1^10"), w2("2^-10")) == (10, 10)
     assert dist_vector(identity(2), w2("2^5*1^3")) == (3, 5)
-    assert dist_i(1, w2("1^4*2^2"), w2("1^4*2^2")) == 0
+    assert dist_vector(w2("1^4*2^2"), w2("1^4*2^2")) == (0, 0)
+    # One coordinate per generator, so none past the rank.
+    assert len(dist_vector(identity(3), identity(3))) == 3
     with pytest.raises(DomainError):
-        dist_i(3, identity(2), identity(2))
-    with pytest.raises(DomainError):
-        dist(identity(1), identity(2))
+        dist_vector(identity(1), identity(2))
 
 
 @given(fwords(), fwords(), fwords())
 def test_pseudometric_axioms(x, y, z):
-    for i in (1, 2):
-        assert dist_i(i, x, y) == dist_i(i, y, x)
-        assert dist_i(i, x, y) <= dist_i(i, x, z) + dist_i(i, z, y)
-    assert dist(x, y) == sum(dist_vector(x, y))
-    if dist(x, y) == 0:
+    for i in (0, 1):
+        assert dist_vector(x, y)[i] == dist_vector(y, x)[i]
+        assert dist_vector(x, y)[i] <= dist_vector(x, z)[i] + dist_vector(z, y)[i]
+    # The coordinates sum to the word metric.
+    assert sum(dist_vector(x, y)) == len(multiply(invert(x), y))
+    if sum(dist_vector(x, y)) == 0:
         assert x == y
 
 
@@ -202,17 +200,17 @@ def test_path_examples():
 def test_path_shape(v, w):
     walk = path(v, w)
     assert walk[0] == v and walk[-1] == w
-    assert len(walk) == dist(v, w) + 1
+    assert len(walk) == sum(dist_vector(v, w)) + 1
     for a, b in zip(walk, walk[1:]):
-        assert dist(a, b) == 1
+        assert sum(dist_vector(a, b)) == 1
 
 
 @given(fwords(), fwords(), st.data())
 def test_distances_add_along_paths(x, y, data):
     walk = path(x, y)
     z = data.draw(st.sampled_from(walk))
-    for i in (1, 2):
-        assert dist_i(i, x, y) == dist_i(i, x, z) + dist_i(i, z, y)
+    for i in (0, 1):
+        assert dist_vector(x, y)[i] == dist_vector(x, z)[i] + dist_vector(z, y)[i]
 
 
 # ------------------------------------------------------------------- trees
@@ -306,7 +304,7 @@ def test_dominating_sequence_properties(points):
         for i in (1, 2):
             choice = row[i - 1]
             assert choice in outside
-            assert all(dist_i(i, choice, p) >= dist_i(i, x, p) for x in outside)
+            assert all(dist_vector(choice, p)[i - 1] >= dist_vector(x, p)[i - 1] for x in outside)
             if global_row[i - 1] not in part:
                 assert choice == global_row[i - 1]
 
@@ -369,10 +367,10 @@ def test_progression_members_enumerate_exactly(g, bounds):
     # leave the progression when that coordinate's budget is exhausted.
     for x in members:
         for i in (1, 2):
-            if dist_i(i, g, x) == bounds[i - 1]:
+            if dist_vector(g, x)[i - 1] == bounds[i - 1]:
                 for s in (1, -1):
                     y = multiply(x, FWord(2, (s * i,)))
-                    if dist_i(i, g, y) > bounds[i - 1]:
+                    if dist_vector(g, y)[i - 1] > bounds[i - 1]:
                         assert y not in members
                         assert not progression_contains(spec, y)
 
@@ -403,52 +401,32 @@ def test_fork_criterion_implies_membership(g, bounds, x):
     members = members_of(spec)
     for i in (1, 2):
         if not any(
-            dist_i(i, p, x) <= dist_i(i, p, y) for y in members for p in path(g, y)
+            dist_vector(p, x)[i - 1] <= dist_vector(p, y)[i - 1] for y in members for p in path(g, y)
         ):
             return
     assert progression_contains(spec, x)
 
 
-def test_normalize_entry_point_examples():
-    verts = path(identity(1), w1(3))
-    spec = FProgressionSpec((3,), w1(5))
-    res = normalize_entry_point(verts, spec)
-    assert res == FProgressionSpec((1,), w1(3))
-
-    inside = FProgressionSpec((2,), w1(1))
-    assert normalize_entry_point(verts, inside) == inside
-
-    assert normalize_entry_point(verts, FProgressionSpec((1,), w1(5))) is None
-
-    with pytest.raises(DomainError):
-        normalize_entry_point([identity(1), w1(2)], FProgressionSpec((1,), w1(0)))
-
-
-@settings(max_examples=60)
-@given(st.sets(fwords(max_len=3), min_size=1, max_size=5))
-def test_normalize_entry_point_refuses_exactly_the_disconnected_sets(points):
-    spec = FProgressionSpec((1, 1), identity(2))
-    if minimal_tree(points).vertices == points:
-        normalize_entry_point(points, spec)
-    else:
-        with pytest.raises(DomainError, match="point set is not connected"):
-            normalize_entry_point(points, spec)
-
-
 @settings(max_examples=60)
 @given(st.sets(fwords(max_len=4), min_size=1, max_size=4), fwords(max_len=5), st.tuples(st.integers(0, 3), st.integers(0, 3)))
-def test_normalize_entry_point_preserves_traces(points, g, bounds):
+def test_entry_point_splits_distances_into_a_connected_set(points, g, bounds):
+    # The entry-point lemma behind is_shattered_free's completeness: the
+    # point h of a connected X nearest g lies on every geodesic from g into
+    # X, so d(g, x) = d(g, h) + d(h, x) coordinatewise for x in X. Then
+    # g*P(N) cuts out of X what h*P(N - d(g, h)) does, or nothing when a
+    # bound falls below d(g, h), and the scan need only visit vertices.
     verts = minimal_tree(points).vertices
-    spec = FProgressionSpec(bounds, g)
-    before = progression_trace(spec, verts)
-    res = normalize_entry_point(verts, spec)
-    if res is None:
+    assert minimal_tree(verts).vertices == verts  # connected
+    h = min(verts, key=lambda x: sum(dist_vector(g, x)))
+    drop = dist_vector(g, h)
+    for x in verts:
+        assert dist_vector(g, x) == tuple(a + b for a, b in zip(drop, dist_vector(h, x)))
+    before = progression_trace(FProgressionSpec(bounds, g), verts)
+    if any(d > n for d, n in zip(drop, bounds)):
         assert before == frozenset()
-        return
-    assert res.translate in verts
-    drop = dist_vector(g, res.translate)
-    assert res.bounds == tuple(n - d for n, d in zip(bounds, drop))
-    assert progression_trace(res, verts) == before
+    else:
+        slid = FProgressionSpec(tuple(n - d for n, d in zip(bounds, drop)), h)
+        assert progression_trace(slid, verts) == before
 
 
 # -------------------------------------------------------------- shattering
@@ -527,7 +505,7 @@ def test_cut_out_negatives_resist_random_specs(points, data):
         return
     rng = random.Random(99)
     verts = sorted(minimal_tree(pts).vertices, key=word_key)
-    top = max(dist(u, v) for u in pts for v in pts)
+    top = max(sum(dist_vector(u, v)) for u in pts for v in pts)
     for _ in range(60):
         g = multiply(
             verts[rng.randrange(len(verts))],

@@ -3,6 +3,7 @@
 import math
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,7 @@ from progvc.errors import DomainError, ResourceLimitError
 from progvc.freegroup import is_shattered_free, sample_point_set
 from progvc.setsystem import (
     DEFAULT_TARGET_CAP,
-    DEFAULT_WORK_CAP,
+    WORK_CAP,
     SetSystem,
     ShatterReport,
     complement_system,
@@ -56,12 +57,8 @@ def test_construction_rejects_bad_input():
 
 
 def test_json_round_trip():
-    sys_ = cosets_z6()
-    blob = sys_.to_json()
-    assert blob["ground"] == list(range(6))
-    assert sorted(blob["family"]) == [[0, 3], [1, 4], [2, 5]]
-    again = SetSystem.from_json(blob)
-    assert again == sys_
+    blob = {"ground": list(range(6)), "family": [[1, 4], [0, 3], [2, 5]]}
+    assert SetSystem.from_json(blob) == cosets_z6()
 
 
 def test_from_json_rejects_malformed_input():
@@ -140,17 +137,20 @@ def test_vc_dimension_cap_carries_partial_bound():
     assert err.value.partial == 2
 
 
-def test_vc_work_cap_counts_only_sizes_the_family_can_shatter():
+def test_vc_work_cap_counts_only_sizes_the_family_can_shatter(monkeypatch):
     # Four members shatter at most 2 points: C(8, 2) = 28 candidates are
     # within a cap of 30, and C(8, 3) = 56 is never needed.
     sys_ = SetSystem.from_masks(range(8), range(4))
-    assert vc_dimension_exact(sys_, work_cap=30) == 2
+    monkeypatch.setattr(setsystem, "WORK_CAP", 30)
+    assert vc_dimension_exact(sys_) == 2
+    monkeypatch.setattr(setsystem, "WORK_CAP", 27)
     with pytest.raises(ResourceLimitError, match="28 candidate 2-subsets") as err:
-        vc_dimension_exact(sys_, work_cap=27)
+        vc_dimension_exact(sys_)
     # Some 1-set is shattered before the refusal, so 1 is certified.
     assert err.value.partial == 1
+    monkeypatch.setattr(setsystem, "WORK_CAP", 7)
     with pytest.raises(ResourceLimitError, match="^8 candidate 1-subsets exceed work cap 7$") as err:
-        vc_dimension_exact(sys_, work_cap=7)
+        vc_dimension_exact(sys_)
     assert err.value.partial == 0
 
 
@@ -322,7 +322,7 @@ def level_has_shattered_subset(sys_, size, work_cap):
     return False
 
 
-def level_scan_vc(sys_, cap=DEFAULT_TARGET_CAP, work_cap=DEFAULT_WORK_CAP):
+def level_scan_vc(sys_, cap=DEFAULT_TARGET_CAP, work_cap=WORK_CAP):
     if not sys_.masks:
         return None
     best = 0
@@ -340,7 +340,7 @@ def level_scan_vc(sys_, cap=DEFAULT_TARGET_CAP, work_cap=DEFAULT_WORK_CAP):
     return best
 
 
-def level_scan_pi(sys_, n, work_cap=DEFAULT_WORK_CAP):
+def level_scan_pi(sys_, n, work_cap=WORK_CAP):
     g = len(sys_.ground)
     if not 0 <= n <= g:
         raise DomainError(f"shatter function needs 0 <= n <= {g}, got {n}")
@@ -373,13 +373,13 @@ def rich_systems(draw):
 
 @given(rich_systems(), st.integers(0, 9), st.one_of(st.integers(1, 60), st.just(10**9)))
 def test_vc_and_pi_match_level_scans(sys_, cap, work_cap):
-    assert outcome(vc_dimension_exact, sys_, cap=cap, work_cap=work_cap) == outcome(
-        level_scan_vc, sys_, cap=cap, work_cap=work_cap
-    )
-    for n in range(len(sys_.ground) + 1):
-        assert outcome(shatter_function, sys_, n, work_cap=work_cap) == outcome(
-            level_scan_pi, sys_, n, work_cap=work_cap
+    # Patched per example: a function-scoped fixture would span them all.
+    with mock.patch.object(setsystem, "WORK_CAP", work_cap):
+        assert outcome(vc_dimension_exact, sys_, cap=cap) == outcome(
+            level_scan_vc, sys_, cap=cap, work_cap=work_cap
         )
+        for n in range(len(sys_.ground) + 1):
+            assert outcome(shatter_function, sys_, n) == outcome(level_scan_pi, sys_, n, work_cap=work_cap)
 
 
 @st.composite
@@ -401,10 +401,9 @@ def wide_systems(draw):
 @given(wide_systems(), st.one_of(st.integers(1, 300), st.just(10**9)))
 def test_pi_matches_level_scan_across_byte_planes(sys_, work_cap):
     assert len(sys_.masks) > 256
-    for n in range(8, len(sys_.ground) + 1):
-        assert outcome(shatter_function, sys_, n, work_cap=work_cap) == outcome(
-            level_scan_pi, sys_, n, work_cap=work_cap
-        )
+    with mock.patch.object(setsystem, "WORK_CAP", work_cap):
+        for n in range(8, len(sys_.ground) + 1):
+            assert outcome(shatter_function, sys_, n) == outcome(level_scan_pi, sys_, n, work_cap=work_cap)
 
 
 def test_power_set_of_ten_points():
@@ -586,23 +585,27 @@ def test_translate_vc_of_a_point_names_no_far_translate():
     assert (result["vc"], report.points, report.traces) == (1, (0,), {1: 0, 0: None})
 
 
-def test_translate_vc_charges_set_up_and_walk_to_the_work_cap():
+def test_translate_vc_charges_set_up_and_walk_to_the_work_cap(monkeypatch):
     K = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
     args = (K, vec_add, vec_neg, (0, 0))
     # |K| = 25 and |B| = 81: 625 products for B, checked before B is built,
     # then 81^2 for the pairs and 81 * 25 for the translates.
     setup = 625 + 81**2 + 81 * 25
-    with pytest.raises(ResourceLimitError, match=r"^25\^2 products for K\*K exceed work cap 624$") as err:
-        setsystem.translate_vc(*args, work_cap=624)
-    assert err.value.partial == 1
-    with pytest.raises(ResourceLimitError, match=rf"^{setup} set-up products for \|B\| = 81 ") as err:
-        setsystem.translate_vc(*args, work_cap=setup - 1)
-    assert err.value.partial == 1
     nodes = setsystem.translate_vc(*args)["nodes"]
-    assert setsystem.translate_vc(*args, work_cap=setup + nodes)["nodes"] == nodes
+    monkeypatch.setattr(setsystem, "WORK_CAP", 624)
+    with pytest.raises(ResourceLimitError, match=r"^25\^2 products for K\*K exceed work cap 624$") as err:
+        setsystem.translate_vc(*args)
+    assert err.value.partial == 1
+    monkeypatch.setattr(setsystem, "WORK_CAP", setup - 1)
+    with pytest.raises(ResourceLimitError, match=rf"^{setup} set-up products for \|B\| = 81 ") as err:
+        setsystem.translate_vc(*args)
+    assert err.value.partial == 1
+    monkeypatch.setattr(setsystem, "WORK_CAP", setup + nodes)
+    assert setsystem.translate_vc(*args)["nodes"] == nodes
     for short in (1, nodes // 2, nodes - 1):
+        monkeypatch.setattr(setsystem, "WORK_CAP", setup + short)
         with pytest.raises(ResourceLimitError, match="walk needs more than") as err:
-            setsystem.translate_vc(*args, work_cap=setup + short)
+            setsystem.translate_vc(*args)
         assert 1 <= err.value.partial <= 3
 
 
