@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DomainError, ResourceLimitError
 
@@ -106,12 +107,14 @@ def km_bound(d: int, l: int, s: int, n: int) -> int:
 
 @dataclass
 class ThresholdReport:
-    """Outcome of scanning an integer inequality around its flip point."""
+    """Outcome of scanning an integer inequality around its flip point;
+    ``verified`` when it holds and fails exactly where the bound needs."""
 
     check: str
     holds_at: list[int] = field(default_factory=list)
     fails_at: list[int] = field(default_factory=list)
     bound: int = 0
+    verified: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -120,6 +123,18 @@ class ThresholdReport:
             "fails_at": list(self.fails_at),
             "bound": self.bound,
         }
+
+
+def _flip_scan(
+    check: str, holds: Callable[[int], bool], flip: tuple[int, int], bound: int
+) -> ThresholdReport:
+    """Test ``holds`` at both n of ``flip``, the n where the inequality
+    should hold and the n where it should fail, the smaller first."""
+    report = ThresholdReport(check=check, bound=bound)
+    for n in sorted(flip):
+        (report.holds_at if holds(n) else report.fails_at).append(n)
+    report.verified = (report.holds_at, report.fails_at) == ([flip[0]], [flip[1]])
+    return report
 
 
 def _translate_pattern_count(n: int) -> int:
@@ -135,14 +150,9 @@ def verify_heisenberg_translate_threshold() -> ThresholdReport:
     The inequality first holds at n = 268 and fails at n = 267, which caps
     the VC dimension of the translate system at 267.
     """
-    report = ThresholdReport(check="heisenberg-translates")
-    for n in (267, 268):
-        if _translate_pattern_count(n) < 2**n:
-            report.holds_at.append(n)
-        else:
-            report.fails_at.append(n)
-    report.bound = 267
-    return report
+    return _flip_scan(
+        "heisenberg-translates", lambda n: _translate_pattern_count(n) < 2**n, (268, 267), 267
+    )
 
 
 def _fixed_pattern_count(n: int) -> int:
@@ -158,11 +168,6 @@ def verify_heisenberg_fixed_threshold() -> ThresholdReport:
     split this caps the VC dimension of translates of any single fixed
     progression at 4 * 35 = 140.
     """
-    report = ThresholdReport(check="heisenberg-fixed-progression")
-    for n in (35, 36):
-        if 2**n <= _fixed_pattern_count(n):
-            report.holds_at.append(n)
-        else:
-            report.fails_at.append(n)
-    report.bound = 4 * 35
-    return report
+    return _flip_scan(
+        "heisenberg-fixed-progression", lambda n: 2**n <= _fixed_pattern_count(n), (35, 36), 4 * 35
+    )

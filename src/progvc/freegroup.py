@@ -20,16 +20,17 @@ code c is c ^ 1, its generator is a_(c >> 1 + 1), and word_key order on
 reduced words is (length, tuple) order on their codes. With top the
 longest common prefix of the points' code words, the minimal tree of X is
 the prefix trie of the words past top, rooted at top: a vertex's word is
-top plus its trie path, so word_key order on the vertices is breadth-first
-order with children in code order. Any cutting translate slides to an
-entry vertex h of that tree without changing its trace, and at h only the
-componentwise-minimal bounds matter. So the traces cut out at h are the
-intersections of one threshold set {x : d_i(h, x) <= t} per coordinate i.
-Visiting the vertices in word_key order and keeping, for each trace, the
-first vertex and its minimal bounds gives the trace family that every
-shattering question here reads. Tripod profiles and dominating sequences
-read the same trie. The public, path-based ``minimal_tree`` and ``leaves``
-are the slow reference it is tested against.
+top plus its trie path. Every caller sorts the points' code words once,
+and the trie is built from that list one level at a time, so its nodes are
+numbered in word_key order of their vertices. Any cutting translate slides
+to an entry vertex h of that tree without changing its trace, and at h only
+the componentwise-minimal bounds matter. So the traces cut out at h are
+the intersections of one threshold set {x : d_i(h, x) <= t} per coordinate
+i. Visiting the nodes by index and keeping, for each trace, the first
+vertex and its minimal bounds gives the trace family that every shattering
+question here reads. Tripod profiles and dominating sequences read the
+same trie. The public, path-based ``minimal_tree`` and ``leaves`` are the
+slow reference it is tested against.
 
 ``free search`` draws its sets as code tuples from ``getrandbits``, sorts
 each once, runs the leaf and tripod filters on the sorted tuples, builds a
@@ -226,9 +227,6 @@ class TreeSlice:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: FWord) -> frozenset:
-        return frozenset(self._adj[v])
-
     def degree(self, v: FWord) -> int:
         return len(self._adj[v])
 
@@ -294,7 +292,7 @@ def dominating_sequence(points: Iterable[FWord], p: FWord) -> DominatingSequence
     """
     pts = set(points)
     rank = _common_rank(pts)
-    trie = _PrefixTrie.of(list(pts))
+    trie = _PrefixTrie(rank, sorted(_encode(x.letters) for x in pts))
     c = None if p.rank != rank or p in pts else trie.find(_encode(p.letters))
     if c is None:
         raise DomainError("center must be a vertex of the minimal tree outside the point set")
@@ -425,56 +423,49 @@ def _tripod_center(words: Sequence[tuple[int, ...]]) -> Optional[tuple[int, ...]
 
 class _PrefixTrie:
     """The minimal tree of a point set, as the prefix trie of the points'
-    code words past ``top``, their longest common prefix.
+    distinct code words ``words``, in lexicographic order, past ``top``,
+    their longest common prefix.
 
     Node c is the vertex whose word is ``top`` plus the trie path to c, so
-    node 0 is ``top``, the vertex nearest the identity. ``kids[c]`` maps a
-    letter to the child across it, ``edge[c]`` is the parent and letter of
-    the edge into c, ``below[c]`` is the bitmask of points (bit j for the
-    j-th word) in the subtree of c, and ``at[j]`` is the node of point j.
+    node 0 is ``top``, the vertex nearest the identity. The trie is built
+    one level at a time, each level's nodes in the code order of their
+    paths, so node indices follow word_key order of the vertices and
+    children come after their parents. ``kids[c]`` maps a letter to the
+    child across it, in code order, ``edge[c]`` is the parent and letter of
+    the edge into c, ``below[c]`` is the bitmask of points (bit j for
+    ``words[j]``) in the subtree of c, and ``at[j]`` is the node of point j.
     Past ``MAX_TRIE_SLOTS``, rows charged when the trie is made and letters
     when ``vertex`` builds a word, it raises ResourceLimitError.
     """
 
     def __init__(self, rank: int, words: Sequence[tuple[int, ...]]):
-        lo = min(words)
-        k = _prefix_len(lo, max(words))
-        self.rank, self.top, self.n, self.slots = rank, lo[:k], len(words), 0
-        self.kids = kids = [{}]
-        self.edge = edge = [(0, 0)]
-        self.below = below = [(1 << self.n) - 1]
-        self.at = []
-        for j, x in enumerate(words):
-            bit = 1 << j
-            c = 0
-            for a in x[k:]:
-                child = kids[c].get(a)
-                if child is None:
-                    child = len(edge)
-                    kids[c][a] = child
-                    kids.append({})
-                    edge.append((c, a))
-                    below.append(0)
-                c = child
-                below[c] |= bit
-            self.at.append(c)
-        self._charge(3 * rank * len(edge))
+        k = _prefix_len(words[0], words[-1])
+        self.rank, self.top, self.n, self.slots = rank, words[0][:k], len(words), 0
+        self.kids, self.edge, self.below, self.at = [], [(0, 0)], [], [0] * self.n
+        # Node c holds words[lo:hi], whose letter i follows its path. The
+        # word that ends at c comes first, then one run per child's letter.
+        spans = [(0, len(words), k)]
+        for c, (lo, hi, i) in enumerate(spans):
+            self.below.append((1 << hi) - (1 << lo))
+            if len(words[lo]) == i:
+                self.at[lo] = c
+                lo += 1
+            kids = {}
+            while lo < hi:
+                a, end = words[lo][i], lo + 1
+                while end < hi and words[end][i] == a:
+                    end += 1
+                kids[a] = len(spans)
+                self.edge.append((c, a))
+                spans.append((lo, end, i + 1))
+                lo = end
+            self.kids.append(kids)
+        self._charge(3 * rank * len(self.edge))
 
     def _charge(self, slots: int) -> None:
         self.slots += slots
         if self.slots > MAX_TRIE_SLOTS:
             raise ResourceLimitError(f"the minimal tree needs over {MAX_TRIE_SLOTS} letter and row slots")
-
-    @classmethod
-    def of(cls, points: Sequence[FWord]) -> "_PrefixTrie":
-        return cls(points[0].rank, [_encode(x.letters) for x in points])
-
-    def order(self) -> list[int]:
-        """The nodes in word_key order of their vertices."""
-        order = [0]
-        for c in order:
-            order.extend(self.kids[c][a] for a in sorted(self.kids[c]))
-        return order
 
     def find(self, code: tuple[int, ...]) -> Optional[int]:
         """The node of the vertex with code word ``code``, or None when it is
@@ -511,7 +502,7 @@ class _PrefixTrie:
                 part_of[d].append(d)
             elif parent != c:
                 above.append(d)
-        parts = ([above] if c else []) + [part_of[kids[a]] for a in sorted(kids)]
+        parts = ([above] if c else []) + [part_of[d] for d in kids.values()]
         return tuple(frozenset(map(self.vertex, part)) for part in parts)
 
     def rows(self) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
@@ -574,20 +565,25 @@ def _vertex_traces(mask_row: Sequence[Sequence[int]], full: int) -> set[int]:
 def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> ShatterReport:
     """Exhaustive shattering check against all translated progressions.
 
-    The points are in word_key order. Each trace maps to the first trie
-    vertex in word_key order that cuts it out, with the componentwise-
-    minimal bounds there; witnesses found at one vertex share its
-    translate. The visit stops once every subset is present.
+    The points are in the lexicographic order of their code words, as the
+    trie numbers them. The trie's nodes are visited by index, which is
+    word_key order, so each trace maps to the first vertex in word_key
+    order that cuts it out, with the componentwise-minimal bounds there;
+    witnesses found at one vertex share its translate. The visit stops
+    once every subset is present.
     """
-    pts = sorted(set(points), key=word_key)
-    _common_rank(pts)
+    pts = set(points)
+    rank = _common_rank(pts)
     if len(pts) > cap:
         raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
-    trie = _PrefixTrie.of(pts)
+    by_code = {_encode(x.letters): x for x in pts}
+    words = sorted(by_code)
+    pts = [by_code[w] for w in words]
+    trie = _PrefixTrie(rank, words)
     full = (1 << trie.n) - 1
     traces = {0: _empty_trace_spec(pts)}
     rows, masks = trie.rows()
-    for c in trie.order():
+    for c in range(len(rows)):
         row, vertex = rows[c], None
         for t in _vertex_traces(masks[c], full):
             if t not in traces:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from progvc import bounds
 from progvc.bounds import MAX_BITS
 from progvc.cli import _json_text, main
 from progvc.freegroup import MAX_RANK, MAX_TRIE_SLOTS, MAX_WORD_LEN, _PrefixTrie, is_shattered_free, parse_word
@@ -86,11 +87,16 @@ LEAF_ONLY_SETS = {
         "1^1*2^-1*3^-1*2^-1,1^1*2^1*1^1,2^2*3^2,2^1*3^1,3^2*2^-1",
     ),
 }
-# Two more sets, rendered the same way: the README's shattered rank-2 set,
-# and a rank-1 line whose gap leaves subsets uncut.
+# More sets, rendered the same way: the README's shattered rank-2 set, a
+# rank-1 line whose gap leaves subsets uncut, and two sets with points
+# inside their minimal tree, where the order in which the points' words
+# enter a trie differs most from word_key order: a common prefix that is a
+# point, and a point with points in two branches below it.
 FREE_SHATTER_SETS = LEAF_ONLY_SETS | {
     "rank-2 shattered": (2, "1^10,2^-10,1^-5,2^5*1^3"),
     "rank-1 gap": (1, "1^0,1^5,1^10"),
+    "rank-2 prefix point": (2, "1^1,1^2,1^1*2^1"),
+    "rank-2 inner points": (2, "e,2^1,1^3,1^2*2^1,1^1*2^2,1^1*2^1*1^1"),
 }
 # The text digests are of the rendering that starts every list item with
 # "-" and prints an empty list or dict as [] or {}.
@@ -115,6 +121,14 @@ FREE_SHATTER_DIGESTS = {
         "0a03d0f0ade94e20a9149ba0615b65331018016e733ad082da7021bfdbade0b5",
     ("rank-1 gap", "text"):
         "b58d86a756a34a07c2c77093261dbff329d2b2818c3231be47017a729a5f2312",
+    ("rank-2 prefix point", "json"):
+        "932db4e92c6832ae2a33a694c92cb335b606dfe8b71cd373876aa96eec376d93",
+    ("rank-2 prefix point", "text"):
+        "c3deefce29d48f3c219ab1e9c17b9e8212ed5427ed02aa971c64a6e606f0c8f2",
+    ("rank-2 inner points", "json"):
+        "d677fe3c8fbb60c6c68c7f26b89831ba1ece76450df36099d0feb9491d5b8cab",
+    ("rank-2 inner points", "text"):
+        "6c4ece4a251d98922af3a17b16719d48dfa61daee57924af58101aa36c041c3b",
 }
 
 # A 6-point system whose labels sort differently by str and by repr ("a!"
@@ -137,6 +151,17 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_bounds_verify_heisenberg_exits_1_when_a_flip_moves(capsys, monkeypatch):
+    # Every count at or over 2**n: the fixed inequality now holds at 36 too.
+    monkeypatch.setattr(bounds, "_fixed_pattern_count", lambda n: 2**n)
+    code, report = run_json(capsys, "bounds", "verify-heisenberg")
+    assert code == 1 and report["result"]["verified"] is False
+    assert report["result"]["fixed"]["holds_at"] == [35, 36]
+    assert report["result"]["translates"] == {
+        "check": "heisenberg-translates", "holds_at": [268], "fails_at": [267], "bound": 267
+    }
 
 
 def test_bounds_verify_heisenberg(capsys):
@@ -697,9 +722,11 @@ def test_setsystem_shatter_target_as_a_json_array(capsys, tmp_path):
         ('{"d": 1}', "error: '{\"d\": 1}' names 0 ground points, not one\n"),
     ]:
         assert run_stderr(capsys, *file, "--target", target) == (2, "", message)
-    code, out, err = run_stderr(capsys, *file, "--target", "[d]")
-    assert (code, out) == (2, "") and err.startswith("error: --target is not a valid JSON array")
-    assert err.count("\n") == 1
+    # Bad JSON, nesting too deep to decode, and an integer past the digit limit.
+    for target in ["[d]", "[" * 200_000, "[1" + "0" * 5000 + "]"]:
+        code, out, err = run_stderr(capsys, *file, "--target", target)
+        assert (code, out) == (2, "") and err.startswith("error: --target is not a valid JSON array")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -796,8 +823,8 @@ def test_config_values_are_type_checked(capsys, tmp_path, config, argv, message,
 
 @pytest.mark.parametrize(
     "content",
-    [b'{"seed": ', b'{"seed": "\xff"}', b'{"seed": 1' + b"0" * 5000 + b"}"],
-    ids=["bad-json", "bad-utf8", "5001-digit-int"],
+    [b'{"seed": ', b'{"seed": "\xff"}', b'{"seed": 1' + b"0" * 5000 + b"}", b"[" * 200_000],
+    ids=["bad-json", "bad-utf8", "5001-digit-int", "too-deep"],
 )
 def test_unreadable_config_and_system_files_exit_2(capsys, tmp_path, content):
     path = tmp_path / "in.json"

@@ -53,6 +53,14 @@ from progvc.freegroup import (
 )
 
 
+def neighbors(tree, v):
+    """The vertices of the tree one generator step from v: its neighbours in
+    the Cayley tree, worked out without the tree's own adjacency."""
+    steps = [generator(tree.rank, i) for i in range(1, tree.rank + 1)]
+    steps += [invert(g) for g in steps]
+    return [w for w in (multiply(v, g) for g in steps) if w in tree]
+
+
 def branches(tree, p):
     """Connected components of the tree with p removed, in canonical order:
     the path-based oracle for the trie's ``parts``."""
@@ -66,7 +74,7 @@ def branches(tree, p):
         frontier = [seed]
         while frontier:
             v = frontier.pop()
-            for w in tree.neighbors(v):
+            for w in neighbors(tree, v):
                 if w in remaining and w not in comp:
                     comp.add(w)
                     frontier.append(w)
@@ -245,7 +253,7 @@ def test_minimal_tree_is_a_tree_containing_the_points(points):
         if v in seen:
             continue
         seen.add(v)
-        frontier.extend(tree.neighbors(v))
+        frontier.extend(neighbors(tree, v))
     assert seen == tree.vertices
 
 
@@ -718,7 +726,7 @@ def test_tripod_scan_and_filters_on_nine_points_in_rank_three(points):
 def test_trie_parts_match_the_branches_oracle(points):
     # Every node, the root and the points included.
     pts = sorted(points, key=word_key)
-    trie, tree = _PrefixTrie.of(pts), minimal_tree(pts)
+    trie, tree = _PrefixTrie(pts[0].rank, codes(pts)), minimal_tree(pts)
     assert len(trie.edge) == len(tree)
     for c in range(len(trie.edge)):
         assert trie.parts(c) == branches(tree, trie.vertex(c))
@@ -741,8 +749,11 @@ def test_trie_parts_match_the_branches_oracle(points):
 @example(frozenset(w2(t) for t in ("1^1*2^1", "1^1*2^-1", "1^-1", "2^1", "2^-1*1^1", "2^-1*1^-1")))
 def test_trie_order_find_and_tripod_scan_match_the_minimal_tree(points):
     pts = sorted(points, key=word_key)
-    rank, trie, tree = pts[0].rank, _PrefixTrie.of(pts), minimal_tree(pts)
-    assert trie.order() == sorted(range(len(trie.edge)), key=lambda c: word_key(trie.vertex(c)))
+    rank, tree = pts[0].rank, minimal_tree(pts)
+    trie = _PrefixTrie(rank, codes(pts))
+    # Node index order is word_key order of the vertices.
+    vertices = [trie.vertex(c) for c in range(len(trie.edge))]
+    assert vertices == sorted(tree.vertices, key=word_key)
     for v in tree.vertices:
         assert trie.vertex(trie.find(_encode(v.letters))) == v
     steps = [generator(rank, i) for i in range(1, rank + 1)]
@@ -763,24 +774,24 @@ def test_trie_charges_rows_when_made_and_letters_when_words_are_built(points):
     rank, tree = pts[0].rank, minimal_tree(pts)
     rows = 3 * rank * len(tree)
     letters = sum(len(v) for v in tree.vertices)
-    trie = _PrefixTrie.of(pts)
+    trie = _PrefixTrie(rank, codes(pts))
     assert {trie.vertex(c) for c in range(len(trie.edge))} == tree.vertices
     # The whole charge is three rank-long rows per vertex and one slot per
     # letter of each vertex word built.
     with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows + letters):
-        trie = _PrefixTrie.of(pts)
+        trie = _PrefixTrie(rank, codes(pts))
         assert {trie.vertex(c) for c in range(len(trie.edge))} == tree.vertices
     with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows + letters - 1):
         with pytest.raises(ResourceLimitError):
-            trie = _PrefixTrie.of(pts)
+            trie = _PrefixTrie(rank, codes(pts))
             for c in range(len(trie.edge)):
                 trie.vertex(c)
     # Without the words, only the rows count.
     with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows):
-        assert len(_PrefixTrie.of(pts).rows()[0]) == len(tree)
+        assert len(_PrefixTrie(rank, codes(pts)).rows()[0]) == len(tree)
     with mock.patch.object(freegroup, "MAX_TRIE_SLOTS", rows - 1):
         with pytest.raises(ResourceLimitError):
-            _PrefixTrie.of(pts)
+            _PrefixTrie(rank, codes(pts))
 
 
 def test_generator_witness_examples():

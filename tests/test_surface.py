@@ -1,11 +1,13 @@
-"""Every public top-level name of the library has a caller that is a program.
+"""Every public top-level name of the library, and every public method of
+its public classes, has a caller that is a program.
 
 A program is library code outside the name's own definition, the benchmark
 (``bench/``), the demos (``demos/``) or the acceptance suite. References
 count only as code: a loaded name, an attribute, or an import alias, never
 docstring or comment text. The package ``__init__`` only re-exports, so its
-imports are not callers. A name that only the other tests reach is surface
-to delete, or to move into the tests.
+imports are not callers. A method counts as called when its name is
+referenced, on any object; dunder methods are not checked. A name that
+only the other tests reach is surface to delete, or to move into the tests.
 """
 
 import ast
@@ -24,7 +26,8 @@ ALLOWED = {
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, node) for each public top-level function, class and constant."""
+    """(name, node) for each public top-level function, class and constant,
+    and ("Class.method", node) for each public method of a public class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -37,6 +40,9 @@ def _public_definitions(tree: ast.Module):
         for name in names:
             if not name.startswith("_"):
                 yield name, node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{name}.{item.name}", item
 
 
 def _references(tree: ast.AST, skip: ast.AST = None) -> set:
@@ -64,9 +70,10 @@ def test_every_public_name_has_a_program_caller():
     for path in LIBRARY:
         for name, node in _public_definitions(parsed[path]):
             defined.add(name)
-            if name in ALLOWED or name in programs:
+            ref = name.rsplit(".", 1)[-1]
+            if name in ALLOWED or ref in programs:
                 continue
-            if any(name in _references(parsed[other], skip=node) for other in LIBRARY):
+            if any(ref in _references(parsed[other], skip=node) for other in LIBRARY):
                 continue
             unused.append(f"{path.name}: {name}")
     assert not unused, "public names that only tests reach: " + ", ".join(unused)
