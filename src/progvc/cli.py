@@ -310,7 +310,7 @@ def _resolve_labels(sys_: setsystem.SetSystem, text: str) -> list:
         for name in names:
             key = json.dumps(name)
             if key not in by_json:
-                raise DomainError(f"{key} is not a ground label")
+                raise DomainError(f"{key[:40]} is not a ground label")
             out.append(by_json[key])
         return out
     by_text = {}

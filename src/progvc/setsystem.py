@@ -40,8 +40,9 @@ from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 from .errors import DomainError, ResourceLimitError
 
 # Guards for exhaustive searches. These stop runaway inputs; results below
-# the caps are exact, never sampled. The VC and shatter-function searches
-# read WORK_CAP when they are called.
+# the caps are exact, never sampled. WORK_CAP, read when a search is called,
+# bounds the nodes of the VC walk (with translate_vc's set-up products) and
+# the n-subsets shatter_function may test.
 DEFAULT_TARGET_CAP = 20
 WORK_CAP = 2_000_000
 
@@ -254,7 +255,7 @@ def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARG
     return ShatterReport(tuple(sys.ground[b] for b in bits), traces)
 
 
-def _walk(cols: list, compat: list, root: tuple, deepest: int, budget=math.inf) -> tuple:
+def _walk(cols: list, compat: list, root: tuple, deepest: int, budget: int) -> tuple:
     """The deepest shattered set that extends ``root``, by depth-first search.
 
     A node is (cells, depth, candidates, chosen): the partition of the
@@ -266,7 +267,7 @@ def _walk(cols: list, compat: list, root: tuple, deepest: int, budget=math.inf) 
     extended, since subsets of shattered sets are shattered, and a node
     that cannot pass ``deepest`` or the best depth so far is skipped.
     Trying more than ``budget`` points raises ResourceLimitError with the
-    best depth as ``partial``.
+    best depth, a certified lower bound, as ``partial``.
     Returns the deepest node and the number of points tried.
     """
     found, best, nodes = root, root[1], 0
@@ -314,9 +315,9 @@ def vc_dimension_exact(sys: SetSystem, cap: int = DEFAULT_TARGET_CAP) -> Optiona
 
     ``cap`` bounds the subset size searched; a family that could still
     shatter a larger set raises ResourceLimitError with the certified lower
-    bound as ``partial``. ``WORK_CAP`` bounds C(n, s): the walk stops short
-    of the least size s with C(n, s) over it and 2^s <= |F|, and reaching
-    s - 1 raises ResourceLimitError with s - 1 as ``partial``.
+    bound as ``partial``. The walk's nodes are charged to ``WORK_CAP``, as
+    in ``translate_vc``; past it ResourceLimitError carries the best depth
+    found as ``partial``.
     """
     if not sys.masks:
         return None
@@ -325,16 +326,9 @@ def vc_dimension_exact(sys: SetSystem, cap: int = DEFAULT_TARGET_CAP) -> Optiona
     top = min(cap, n)
     # The sizes the search may certify: at most top, and 2^s <= |F|.
     deepest = min(top, size.bit_length() - 1)
-    # The least size s whose C(n, s) exceeds WORK_CAP; it becomes a
-    # candidate once some (s-1)-set is known shattered, so the walk stops there.
-    s = next((k for k in range(1, deepest + 1) if math.comb(n, k) > WORK_CAP), deepest + 1)
     every = (1 << n) - 1
     root = ([(1 << size) - 1], 0, every, 0)
-    (_, best, _, _), _ = _walk(_columns(sys.masks, n), [every] * n, root, s - 1)
-    if s <= deepest and best == s - 1:
-        raise ResourceLimitError(
-            f"{math.comb(n, s)} candidate {s}-subsets exceed work cap {WORK_CAP}", partial=best
-        )
+    (_, best, _, _), _ = _walk(_columns(sys.masks, n), [every] * n, root, deepest, WORK_CAP)
     if best >= top and top < n and size >= 2 ** (top + 1):
         raise ResourceLimitError(
             f"dimension at least {best} but search capped at subset size {top}",
@@ -414,7 +408,8 @@ def shatter_function(sys: SetSystem, n: int) -> int:
     appended point at most doubles the count, so a node with c traces at
     depth d is skipped once min(c * 2^(n-d), |F|) cannot beat the best
     count, and the walk stops at min(2^n, |F|). More than ``WORK_CAP``
-    n-subsets of the ground raise ResourceLimitError.
+    n-subsets of the ground raise ResourceLimitError before the walk; a
+    count of the n-subsets tested would not bound its internal nodes.
     """
     g = len(sys.ground)
     if not 0 <= n <= g:

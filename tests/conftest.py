@@ -5,8 +5,10 @@ from progvc import heisenberg as hg
 
 # Exact big-integer comparisons and word enumeration make individual
 # examples slow enough to trip the default 200ms deadline on loaded CI
-# machines; correctness here never depends on wall-clock time.
-settings.register_profile("suite", deadline=None)
+# machines; correctness here never depends on wall-clock time. A failing
+# example prints its @reproduce_failure blob, since CI keeps no example
+# database to replay it from.
+settings.register_profile("suite", deadline=None, print_blob=True)
 settings.load_profile("suite")
 
 

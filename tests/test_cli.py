@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from progvc import bounds
+from progvc import bounds, setsystem
 from progvc.bounds import MAX_BITS
 from progvc.cli import _json_text, main
 from progvc.freegroup import MAX_RANK, MAX_TRIE_SLOTS, MAX_WORD_LEN, _PrefixTrie, is_shattered_free, parse_word
@@ -640,6 +640,25 @@ def test_setsystem_vc_over_cap_names_certified_partial(capsys, tmp_path):
     assert captured.err.rstrip().endswith("(certified partial: 2)")
 
 
+def test_setsystem_vc_charges_the_nodes_it_walks(capsys, tmp_path, monkeypatch):
+    # The walk certifies 6 on this system in 8,206 nodes, within a cap of
+    # 10,000 that C(16, 7) = 11,440 candidate 7-subsets would exceed.
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(random_system(1, 16, 200)))
+    monkeypatch.setattr(setsystem, "WORK_CAP", 10_000)
+    code, report = run_json(capsys, "setsystem", "vc", "--file", str(path))
+    assert code == 0 and report["result"]["vc"] == 6
+
+
+def test_setsystem_vc_past_the_work_cap_names_the_certified_partial(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(random_system(1, 16, 200)))
+    monkeypatch.setattr(setsystem, "WORK_CAP", 8_000)
+    code, out, err = run_stderr(capsys, "setsystem", "vc", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "resource limit: walk needs more than the 8000 nodes left of the work cap (certified partial: 6)\n"
+
+
 def test_setsystem_missing_file(capsys):
     assert main(["setsystem", "vc", "--file", "/nonexistent.json"]) == 2
 
@@ -722,6 +741,9 @@ def test_setsystem_shatter_target_as_a_json_array(capsys, tmp_path):
         ('{"d": 1}', "error: '{\"d\": 1}' names 0 ground points, not one\n"),
     ]:
         assert run_stderr(capsys, *file, "--target", target) == (2, "", message)
+    # A label nested 500 deep is named by its first 40 characters.
+    code, out, err = run_stderr(capsys, *file, "--target", "[" * 500 + "]" * 500)
+    assert (code, out) == (2, "") and err == f"error: {'[' * 40} is not a ground label\n"
     # Bad JSON, nesting too deep to decode, and an integer past the digit limit.
     for target in ["[d]", "[" * 200_000, "[1" + "0" * 5000 + "]"]:
         code, out, err = run_stderr(capsys, *file, "--target", target)

@@ -138,20 +138,36 @@ def test_vc_dimension_cap_carries_partial_bound():
 
 
 def test_vc_work_cap_counts_only_sizes_the_family_can_shatter(monkeypatch):
-    # Four members shatter at most 2 points: C(8, 2) = 28 candidates are
-    # within a cap of 30, and C(8, 3) = 56 is never needed.
+    # Four members shatter at most 2 points, and the walk reaches a
+    # shattered pair in 2 nodes: the cap counts nodes walked, not the
+    # C(8, 1) = 8 or C(8, 2) = 28 candidates of a level.
     sys_ = SetSystem.from_masks(range(8), range(4))
-    monkeypatch.setattr(setsystem, "WORK_CAP", 30)
-    assert vc_dimension_exact(sys_) == 2
-    monkeypatch.setattr(setsystem, "WORK_CAP", 27)
-    with pytest.raises(ResourceLimitError, match="28 candidate 2-subsets") as err:
+    for cap in (2, 7, 27):
+        monkeypatch.setattr(setsystem, "WORK_CAP", cap)
+        assert vc_dimension_exact(sys_) == 2
+    monkeypatch.setattr(setsystem, "WORK_CAP", 1)
+    with pytest.raises(ResourceLimitError, match="^walk needs more than the 1 nodes left of the work cap$") as err:
         vc_dimension_exact(sys_)
-    # Some 1-set is shattered before the refusal, so 1 is certified.
+    # The first node shatters a 1-set before the refusal, so 1 is certified.
     assert err.value.partial == 1
-    monkeypatch.setattr(setsystem, "WORK_CAP", 7)
-    with pytest.raises(ResourceLimitError, match="^8 candidate 1-subsets exceed work cap 7$") as err:
-        vc_dimension_exact(sys_)
-    assert err.value.partial == 0
+
+
+def test_vc_dimension_charges_the_walk_to_the_work_cap(monkeypatch):
+    # The cap answers at exactly the nodes the walk visits, and one node
+    # short refuses with a certified partial.
+    sys_ = SetSystem.from_masks(range(12), random.Random(3).sample(range(2**12), 300))
+    walks = []
+    walk = setsystem._walk
+    monkeypatch.setattr(setsystem, "_walk", lambda *args: walks.append(walk(*args)) or walks[-1])
+    value = vc_dimension_exact(sys_)
+    (_, nodes), = walks
+    monkeypatch.setattr(setsystem, "WORK_CAP", nodes)
+    assert vc_dimension_exact(sys_) == value
+    for short in (1, nodes // 2, nodes - 1):
+        monkeypatch.setattr(setsystem, "WORK_CAP", short)
+        with pytest.raises(ResourceLimitError, match=rf"^walk needs more than the {short} nodes left") as err:
+            vc_dimension_exact(sys_)
+        assert 1 <= err.value.partial <= value
 
 
 def test_shatter_function_examples():
@@ -303,18 +319,14 @@ def _powerset(points):
 #
 # The original searches: every candidate subset of a level is tested by
 # scanning the whole family. They stay here as the reference the
-# column-partition walks must match, exceptions included.
+# column-partition walks must match, exceptions included; the VC scan
+# models the subset-size cap but not the walk's node budget.
 
 
-def level_has_shattered_subset(sys_, size, work_cap):
+def level_has_shattered_subset(sys_, size):
     n = len(sys_.ground)
     if size > n or len(sys_.masks) < 2**size:
         return False
-    if math.comb(n, size) > work_cap:
-        raise ResourceLimitError(
-            f"{math.comb(n, size)} candidate {size}-subsets exceed work cap {work_cap}",
-            partial=size - 1,
-        )
     for bits in combinations(range(n), size):
         tmask = sum(1 << b for b in bits)
         if len({m & tmask for m in sys_.masks}) == 2**size:
@@ -322,13 +334,13 @@ def level_has_shattered_subset(sys_, size, work_cap):
     return False
 
 
-def level_scan_vc(sys_, cap=DEFAULT_TARGET_CAP, work_cap=WORK_CAP):
+def level_scan_vc(sys_, cap=DEFAULT_TARGET_CAP):
     if not sys_.masks:
         return None
     best = 0
     top = min(cap, len(sys_.ground))
     for size in range(1, top + 1):
-        if level_has_shattered_subset(sys_, size, work_cap):
+        if level_has_shattered_subset(sys_, size):
             best = size
         else:
             return best
@@ -375,9 +387,14 @@ def rich_systems(draw):
 def test_vc_and_pi_match_level_scans(sys_, cap, work_cap):
     # Patched per example: a function-scoped fixture would span them all.
     with mock.patch.object(setsystem, "WORK_CAP", work_cap):
-        assert outcome(vc_dimension_exact, sys_, cap=cap) == outcome(
-            level_scan_vc, sys_, cap=cap, work_cap=work_cap
-        )
+        walk, scan = outcome(vc_dimension_exact, sys_, cap=cap), outcome(level_scan_vc, sys_, cap=cap)
+        # Only the walk's node budget, never reached at 10**9, may refuse
+        # where the scan answers; its partial is then certified.
+        if walk != scan:
+            assert work_cap < 10**9
+            name, message, partial = walk
+            assert name == "ResourceLimitError" and message.startswith("walk needs more than")
+            assert partial <= (scan[1] if scan[0] == "value" else scan[2])
         for n in range(len(sys_.ground) + 1):
             assert outcome(shatter_function, sys_, n) == outcome(level_scan_pi, sys_, n, work_cap=work_cap)
 
