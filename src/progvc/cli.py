@@ -140,7 +140,7 @@ def cmd_heisenberg_member(args) -> int:
 
 
 def cmd_heisenberg_enumerate(args) -> int:
-    points = sorted(heisenberg.enumerate_progression(args.n1, args.n2, cap=args.cap))
+    points = sorted(heisenberg.enumerate_progression(args.n1, args.n2))
     result = {"size": len(points), "points": [list(p) for p in points]}
     _emit(args, result, flat_rows=[list(p) for p in points])
     return EXIT_OK
@@ -211,7 +211,7 @@ def _parse_point_list(rank: int, text: str) -> list:
 
 def cmd_free_shatter(args) -> int:
     points = _parse_point_list(args.k, args.points)
-    report = freegroup.is_shattered_free(points, cap=args.cap)
+    report = freegroup.is_shattered_free(points)
     result = report.to_json(witness_json=str)
     _emit(args, result)
     return EXIT_OK
@@ -233,14 +233,7 @@ def cmd_free_example_f2(args) -> int:
 
 
 def cmd_free_search(args) -> int:
-    result = freegroup.search_shattered_sets(
-        args.k,
-        args.size,
-        args.samples,
-        args.seed,
-        max_len=args.max_len,
-        cap=args.cap,
-    )
+    result = freegroup.search_shattered_sets(args.k, args.size, args.samples, args.seed, max_len=args.max_len)
     _emit(args, result)
     return EXIT_OK
 
@@ -298,7 +291,8 @@ def _load_system(path: str) -> setsystem.SetSystem:
 
 def _resolve_labels(sys_: setsystem.SetSystem, text: str) -> list:
     """Ground points named by ``--target``: a JSON array of ground labels,
-    or comma-separated tokens, each stripped and matched to one label's text."""
+    or comma-separated tokens, each stripped and matched to one label's text.
+    An error names a label or token by the first 40 characters of its echo."""
     if text.lstrip().startswith("["):
         try:
             names = json.loads(text)
@@ -320,14 +314,14 @@ def _resolve_labels(sys_: setsystem.SetSystem, text: str) -> list:
     for token in map(str.strip, text.split(",")):
         labels = by_text.get(token, [])
         if len(labels) != 1:
-            raise DomainError(f"{token!r} names {len(labels)} ground points, not one")
+            raise DomainError(f"{repr(token)[:40]} names {len(labels)} ground points, not one")
         out += labels
     return out
 
 
 def cmd_setsystem_vc(args) -> int:
     sys_ = _load_system(args.file)
-    value = setsystem.vc_dimension_exact(sys_, cap=args.cap)
+    value = setsystem.vc_dimension_exact(sys_)
     result = {
         "vc": value,
         "verdict": "undefined" if value is None else str(value),
@@ -341,7 +335,7 @@ def cmd_setsystem_vc(args) -> int:
 def cmd_setsystem_shatter(args) -> int:
     sys_ = _load_system(args.file)
     target = _resolve_labels(sys_, args.target)
-    report = setsystem.shatters(sys_, target, cap=args.cap)
+    report = setsystem.shatters(sys_, target)
     _emit(args, report.to_json())
     return EXIT_OK
 
@@ -392,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(h, "member", cmd_heisenberg_member, "membership test for one point", "--n1", "--n2")
     p.add_argument("--point", required=True, help="point as 'a,b,c'")
     p.add_argument("--translate", default="0,0,0", help="translate as 'a,b,c'")
-    p = command(h, "enumerate", cmd_heisenberg_enumerate, "list all progression points", "--n1", "--n2")
-    p.add_argument("--cap", type=int, default=heisenberg.DEFAULT_ENUM_CAP)
+    command(h, "enumerate", cmd_heisenberg_enumerate, "list all progression points", "--n1", "--n2")
     p = command(h, "witness", cmd_heisenberg_witness, "produce a word evaluating to a point", "--n1", "--n2")
     p.add_argument("--point", required=True, help="point as 'a,b,c'")
     command(h, "vc", cmd_heisenberg_vc, "exact VC dimension of the translates of P(n1,n2)", "--n1", "--n2")
@@ -408,12 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
     f = group("free", "free group progressions")
     p = command(f, "shatter", cmd_free_shatter, "exact shattering report", "--k")
     p.add_argument("--points", required=True, help="comma-separated words like '1^0,1^5,1^10'")
-    p.add_argument("--cap", type=int, default=freegroup.DEFAULT_SET_CAP)
     command(f, "example-f2", cmd_free_example_f2, "verify the bundled 4-point tables")
     p = command(f, "search", cmd_free_search, "random sets, exact verdict each", "--k", "--size", "--samples")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=int, dest="max_len", default=12)
-    p.add_argument("--cap", type=int, default=freegroup.DEFAULT_SET_CAP)
     p = command(f, "witness", cmd_free_witness, "generator-set cut-out witness", "--k")
     p.add_argument("--bounds", required=True, help="comma-separated bounds, e.g. '1,1'")
     p.add_argument("--subset", default="", help="generator indices to keep, e.g. '1,3'")
@@ -423,11 +414,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = group("setsystem", "finite set systems")
     p = command(s, "vc", cmd_setsystem_vc, "exact VC dimension")
     p.add_argument("--file", required=True, help="SetSystem JSON path")
-    p.add_argument("--cap", type=int, default=setsystem.DEFAULT_TARGET_CAP)
     p = command(s, "shatter", cmd_setsystem_shatter, "shattering report for a target")
     p.add_argument("--file", required=True)
     p.add_argument("--target", required=True, help="comma-separated ground labels, or a JSON array of them")
-    p.add_argument("--cap", type=int, default=setsystem.DEFAULT_TARGET_CAP)
     p = command(s, "pi", cmd_setsystem_pi, "shatter function value")
     p.add_argument("--file", required=True)
     p.add_argument("--n", type=int, required=True)

@@ -49,6 +49,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import DomainError, ResourceLimitError
 from .setsystem import ShatterReport
 
+# Most points a shattering decision takes, as it may meet 2^n traces.
+# Read at each call, so a lower cap is a patched constant.
 DEFAULT_SET_CAP = 14
 # Letters a word text may expand to before reduction, so that an exponent
 # like 1^999999999 is refused instead of allocated.
@@ -562,7 +564,7 @@ def _vertex_traces(mask_row: Sequence[Sequence[int]], full: int) -> set[int]:
     return traces
 
 
-def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> ShatterReport:
+def is_shattered_free(points: Iterable[FWord]) -> ShatterReport:
     """Exhaustive shattering check against all translated progressions.
 
     The points are in the lexicographic order of their code words, as the
@@ -570,12 +572,13 @@ def is_shattered_free(points: Iterable[FWord], cap: int = DEFAULT_SET_CAP) -> Sh
     word_key order, so each trace maps to the first vertex in word_key
     order that cuts it out, with the componentwise-minimal bounds there;
     witnesses found at one vertex share its translate. The visit stops
-    once every subset is present.
+    once every subset is present. More than ``DEFAULT_SET_CAP`` points
+    raise ResourceLimitError.
     """
     pts = set(points)
     rank = _common_rank(pts)
-    if len(pts) > cap:
-        raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {cap}")
+    if len(pts) > DEFAULT_SET_CAP:
+        raise ResourceLimitError(f"point set of size {len(pts)} exceeds cap {DEFAULT_SET_CAP}")
     by_code = {_encode(x.letters): x for x in pts}
     words = sorted(by_code)
     pts = [by_code[w] for w in words]
@@ -701,25 +704,19 @@ def sample_point_set(rng: random.Random, rank: int, size: int, max_len: int) -> 
     return frozenset(FWord(rank, _decode(w)) for w in words)
 
 
-def search_shattered_sets(
-    rank: int,
-    size: int,
-    samples: int,
-    seed: int,
-    max_len: int = 12,
-    cap: int = DEFAULT_SET_CAP,
-) -> dict:
+def search_shattered_sets(rank: int, size: int, samples: int, seed: int, max_len: int = 12) -> dict:
     """Sample random point sets and decide shattering for each.
 
     The sets are those ``sample_point_set`` draws from one seeded
     generator, kept as code tuples; only the ``shattered`` ones become word
-    texts. The report depends on the arguments alone.
+    texts. The report depends on the arguments alone. A ``size`` past
+    ``DEFAULT_SET_CAP`` raises ResourceLimitError.
     """
     _check_rank(rank)
     if size < 1 or samples < 0 or max_len < 0:
         raise DomainError("size must be >= 1 and samples, max_len >= 0")
-    if size > cap:
-        raise ResourceLimitError(f"set size {size} exceeds cap {cap}")
+    if size > DEFAULT_SET_CAP:
+        raise ResourceLimitError(f"set size {size} exceeds cap {DEFAULT_SET_CAP}")
     if max_len > MAX_WORD_LEN:
         raise ResourceLimitError(f"max_len {max_len} exceeds the {MAX_WORD_LEN}-letter word cap")
     rng = random.Random(seed)

@@ -39,10 +39,11 @@ from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError
 
-# Guards for exhaustive searches. These stop runaway inputs; results below
-# the caps are exact, never sampled. WORK_CAP, read when a search is called,
-# bounds the nodes of the VC walk (with translate_vc's set-up products) and
-# the n-subsets shatter_function may test.
+# Guards for exhaustive searches, read when a search is called. These stop
+# runaway inputs; results below them are exact, never sampled, and a lower
+# budget is set by patching the constant. DEFAULT_TARGET_CAP bounds the
+# target of shatters. WORK_CAP bounds the nodes of the VC walk (with
+# translate_vc's set-up products) and the n-subsets shatter_function may test.
 DEFAULT_TARGET_CAP = 20
 WORK_CAP = 2_000_000
 
@@ -226,18 +227,19 @@ def _columns(masks: Sequence[int], n: int) -> list:
     return cols
 
 
-def shatters(sys: SetSystem, target: Iterable[Hashable], cap: int = DEFAULT_TARGET_CAP) -> ShatterReport:
+def shatters(sys: SetSystem, target: Iterable[Hashable]) -> ShatterReport:
     """Exhaustive shattering check over all subsets of the target.
 
     The family is partitioned by trace on the target one column at a time;
     each cell is tagged with its trace, a mask over the target's points in
     ground order, and its lowest family index is the first witness in
-    ``sys.masks`` order.
+    ``sys.masks`` order. A target of more than ``DEFAULT_TARGET_CAP``
+    points raises ResourceLimitError.
     """
     tmask = sys.mask_of(target)
     t = bin(tmask).count("1")
-    if t > cap:
-        raise ResourceLimitError(f"target of size {t} exceeds shatter cap {cap}")
+    if t > DEFAULT_TARGET_CAP:
+        raise ResourceLimitError(f"target of size {t} exceeds shatter cap {DEFAULT_TARGET_CAP}")
     bits = [i for i in range(len(sys.ground)) if tmask >> i & 1]
     cols = _columns(sys.masks, len(sys.ground))
 
@@ -304,7 +306,7 @@ def _walk(cols: list, compat: list, root: tuple, deepest: int, budget: int) -> t
     return found, nodes
 
 
-def vc_dimension_exact(sys: SetSystem, cap: int = DEFAULT_TARGET_CAP) -> Optional[int]:
+def vc_dimension_exact(sys: SetSystem) -> Optional[int]:
     """Largest size of a shattered subset of the ground, by exhaustive search.
 
     Returns None for an empty family: no set is shattered, not even the
@@ -313,27 +315,19 @@ def vc_dimension_exact(sys: SetSystem, cap: int = DEFAULT_TARGET_CAP) -> Optiona
     certified exact value. ``_walk`` runs from the empty set with every
     point a candidate, so it visits the combination tree in index order.
 
-    ``cap`` bounds the subset size searched; a family that could still
-    shatter a larger set raises ResourceLimitError with the certified lower
-    bound as ``partial``. The walk's nodes are charged to ``WORK_CAP``, as
-    in ``translate_vc``; past it ResourceLimitError carries the best depth
-    found as ``partial``.
+    The walk's nodes are charged to ``WORK_CAP``, as in ``translate_vc``,
+    and that is its one refusal: past it ResourceLimitError carries the
+    best depth found, a certified lower bound, as ``partial``.
     """
     if not sys.masks:
         return None
     n = len(sys.ground)
     size = len(sys.masks)
-    top = min(cap, n)
-    # The sizes the search may certify: at most top, and 2^s <= |F|.
-    deepest = min(top, size.bit_length() - 1)
+    # A shattered s-set has 2^s <= |F| traces.
+    deepest = min(n, size.bit_length() - 1)
     every = (1 << n) - 1
     root = ([(1 << size) - 1], 0, every, 0)
     (_, best, _, _), _ = _walk(_columns(sys.masks, n), [every] * n, root, deepest, WORK_CAP)
-    if best >= top and top < n and size >= 2 ** (top + 1):
-        raise ResourceLimitError(
-            f"dimension at least {best} but search capped at subset size {top}",
-            partial=best,
-        )
     return best
 
 

@@ -99,46 +99,48 @@ FREE_SHATTER_SETS = LEAF_ONLY_SETS | {
     "rank-2 inner points": (2, "e,2^1,1^3,1^2*2^1,1^1*2^2,1^1*2^1*1^1"),
 }
 # The text digests are of the rendering that starts every list item with
-# "-" and prints an empty list or dict as [] or {}.
+# "-" and prints an empty list or dict as [] or {}. All are digests of
+# those bytes less the "cap" params line, which went with the flag.
 FREE_SHATTER_DIGESTS = {
     ("rank-2 8-point", "json"):
-        "62c5f346e8dbd9ca3715df08bbb9aa7956082e69c2f4955c48c0e2b2653e4af5",
+        "82678012367a35fb69acfbd82030153009300b1f0dad2aae8cd085816729a923",
     ("rank-2 8-point", "text"):
-        "1e98e8476a7999eb6028610ab0371c41b0b60704d7b317b7d375b58316b90c13",
+        "d45052e16970e2449cd2e1d70af260d2eba9f7dc3b998d3563b7d817eb9c9d0f",
     ("rank-2 9-point", "json"):
-        "9805ccadd1caf56e634bb39a88de4723f31e088aee4fe4f675488679612af9af",
+        "539f5c33fa9fc54e774425e6bc99bb533a7e6ea5e49e59f139adb29a2e8729ea",
     ("rank-2 9-point", "text"):
-        "33202cf6d3ddb4aa536da454e6e7e2b7ccee3291b795d0218960c5acca35c8d0",
+        "8857be43abc76b9e366f0f9644678a5ec1b1f20fa160c430684d0c4b8e4b1a5f",
     ("rank-3 9-point", "json"):
-        "33932ab77c8e10e76b4fa2b38edb491e3bdc026f332e10727f09a9814838712a",
+        "e1cad986fa8a351c0d660bba572fdde3ab2a55f892ccf0f48587a73fc87ce3dc",
     ("rank-3 9-point", "text"):
-        "cc249f7eb21e1d248d2807f0a1e38c9919920a034d1e2f33d146eb194f0a44a1",
+        "d50687662dd17629ed41719bccbbc048359a1b228d840eb4bf62ff1ff7331a11",
     ("rank-2 shattered", "json"):
-        "e8a720a8dc77feb244edceb38c9591fdebc14053778369df9d257da73ffbeba3",
+        "271ff6aa48c41437aa7655bc62ec0bf4d82d97f99f1de942b69ef9af6e1a9450",
     ("rank-2 shattered", "text"):
-        "4bcc01dd7ec2dfebdabdc78ee5c9822ddceb5d65f2a2efbd188423c0233646e1",
+        "32279b1ebff453954ac75daa61aaf31f9ff11913b087e03336aa5a6f9ace5ee8",
     ("rank-1 gap", "json"):
-        "0a03d0f0ade94e20a9149ba0615b65331018016e733ad082da7021bfdbade0b5",
+        "016eb3c9f1a3de913d786eca93a3da7d72704cc83e81bfc45a26dd9fb17273e2",
     ("rank-1 gap", "text"):
-        "b58d86a756a34a07c2c77093261dbff329d2b2818c3231be47017a729a5f2312",
+        "f2f044d323f44e057c8e3bd1ac27b40f184ed8f45361a3854b8d61e87986f5e2",
     ("rank-2 prefix point", "json"):
-        "932db4e92c6832ae2a33a694c92cb335b606dfe8b71cd373876aa96eec376d93",
+        "720053652099a5a482ba097e6f7484f58ad095cd869f6fdf27a987b78fb1d7d0",
     ("rank-2 prefix point", "text"):
-        "c3deefce29d48f3c219ab1e9c17b9e8212ed5427ed02aa971c64a6e606f0c8f2",
+        "1fd316d6ccdead71d8920e281cefb396cc67d28645a15516faf69e3835abfc25",
     ("rank-2 inner points", "json"):
-        "d677fe3c8fbb60c6c68c7f26b89831ba1ece76450df36099d0feb9491d5b8cab",
+        "fcefffb24fd652ee31fa4c590b90eb8427dc4b8109ecabfb1811d1d654e7e2e9",
     ("rank-2 inner points", "text"):
-        "6c4ece4a251d98922af3a17b16719d48dfa61daee57924af58101aa36c041c3b",
+        "321776b64d94f477fc2e2aeaf7c0ab396fb34f8d7f54d91b8fda71ac1fc521bc",
 }
 
 # A 6-point system whose labels sort differently by str and by repr ("a!"
 # comes before "a" by repr, after it by str), with every third subset of
 # the ground as a member. sha256 of the `setsystem shatter` report bytes as
-# the renderer that sorted every subset produced them (text: as above).
+# the renderer that sorted every subset produced them (text: as above),
+# less the "cap" params line, which went with the flag.
 SORT_LABELS = ["a", "a!", "a b", "a'", "b", "A"]
 SETSYSTEM_SHATTER_DIGESTS = {
-    "json": "d2d6c793860b4f1b2ee9816a988c7c03d960046e9d9fb9561b69d26d6a7ce232",
-    "text": "f8d34bbbc0c0c17928fe4eef483ba07dbef8508532e4f719dd1b241af9117fdf",
+    "json": "af2311c8171d9855031348b75d43ab0491a70069234ace1af6e8f943d402010f",
+    "text": "311d6878e313bf6581b24fee8b48859a7eb7112df83a76ca5a3299f2c91be402",
 }
 
 
@@ -434,10 +436,11 @@ def test_free_search_deterministic(capsys):
 
 
 # sha256 of the report bytes as free search printed them when it sampled
-# and decided FWord sets; the size-4 run lists 5 shattered sets.
+# and decided FWord sets, less the "cap" params line, which went with the
+# flag; the size-4 run lists 5 shattered sets.
 FREE_SEARCH_DIGESTS = {
-    "6": "ff84fae4a1b5fbf21ec7f865cffecc5676e704872320781840e566cd7267e45a",
-    "4": "673f530b1c35c7d8aecbb31b8bb1a87c0c5c163d1698e27e27749a742e294593",
+    "6": "2fab93c2a3b71a3e71b5e1edcac31ecafc652ab40b8ef4c5cb4b5863ab62a43b",
+    "4": "a2e7738b99bfac1626d89fa6b840b84ac1eadfe90a07f51604575bd15ae05432",
 }
 
 
@@ -486,13 +489,14 @@ def test_free_search_answers_for_words_past_the_trie_letter_budget(capsys):
     # Words of up to 10,000 letters: the first two sets' minimal trees have
     # about 14,000 vertices each, whose words would hold over 5 * 10^7
     # letters, five times MAX_TRIE_SLOTS. The digest is that of the report
-    # free search printed before it had a trie budget.
+    # free search printed before it had a trie budget, less the "cap"
+    # params line, which went with the flag.
     argv = ["free", "search", "--k", "2", "--size", "2", "--samples", "3", "--max-len", str(MAX_WORD_LEN)]
     code, out = run(capsys, *argv, "--seed", "0")
     assert code == 0
     assert json.loads(out)["result"]["verdicts"]["shattered"] == 3
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "536bb21a8b848313966dff2edf4724f3d93cb0c271c3c9f9e62a63c6274997ab"
+        "3a14e55b2c1535b30ef7bff3f419906dc50ed7f43465650c93dfd63e7ff85bd5"
     )
 
 
@@ -627,19 +631,6 @@ def test_setsystem_shatter_report_digests(capsys, tmp_path, monkeypatch, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SETSYSTEM_SHATTER_DIGESTS[fmt]
 
 
-def test_setsystem_vc_over_cap_names_certified_partial(capsys, tmp_path):
-    path = tmp_path / "powerset5.json"
-    family = [[i for i in range(5) if m >> i & 1] for m in range(32)]
-    path.write_text(json.dumps({"ground": list("abcde"), "family": family}))
-    code = main(["setsystem", "vc", "--file", str(path), "--cap", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
-    assert captured.err.rstrip().endswith("(certified partial: 2)")
-
-
 def test_setsystem_vc_charges_the_nodes_it_walks(capsys, tmp_path, monkeypatch):
     # The walk certifies 6 on this system in 8,206 nodes, within a cap of
     # 10,000 that C(16, 7) = 11,440 candidate 7-subsets would exceed.
@@ -741,9 +732,13 @@ def test_setsystem_shatter_target_as_a_json_array(capsys, tmp_path):
         ('{"d": 1}', "error: '{\"d\": 1}' names 0 ground points, not one\n"),
     ]:
         assert run_stderr(capsys, *file, "--target", target) == (2, "", message)
-    # A label nested 500 deep is named by its first 40 characters.
+    # A label nested 500 deep, or a 5,000-character token, is named by the
+    # first 40 characters of its echo.
     code, out, err = run_stderr(capsys, *file, "--target", "[" * 500 + "]" * 500)
     assert (code, out) == (2, "") and err == f"error: {'[' * 40} is not a ground label\n"
+    code, out, err = run_stderr(capsys, *file, "--target", "x" * 5000)
+    assert (code, out) == (2, "") and err == f"error: '{'x' * 39} names 0 ground points, not one\n"
+    assert len(err) < 100
     # Bad JSON, nesting too deep to decode, and an integer past the digit limit.
     for target in ["[d]", "[" * 200_000, "[1" + "0" * 5000 + "]"]:
         code, out, err = run_stderr(capsys, *file, "--target", target)
@@ -751,23 +746,39 @@ def test_setsystem_shatter_target_as_a_json_array(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["setsystem", "vc", "--file", "missing.json"],
-        ["setsystem", "shatter", "--file", "missing.json", "--target", "0"],
-        ["free", "shatter", "--k", "2", "--points", "1^1"],
-        ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
-        ["heisenberg", "enumerate", "--n1", "1", "--n2", "1"],
-        ["heisenberg", "verify", "--nmax", "1"],
-    ],
-    ids=lambda argv: " ".join(argv[:2]),
-)
+@pytest.mark.parametrize("argv", [["heisenberg", "verify", "--nmax", "1"]], ids=lambda argv: " ".join(argv[:2]))
 def test_negative_cap_is_bad_input_not_a_resource_limit(capsys, tmp_path, argv):
     assert run_stderr(capsys, *argv, "--cap", "-1") == (2, "", "error: --cap must be at least 0\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cap": -2}))
     assert run_stderr(capsys, *argv, "--config", str(cfg)) == (2, "", "error: --cap must be at least 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["setsystem", "vc", "--file", "system.json"],
+        ["setsystem", "shatter", "--file", "system.json", "--target", "0"],
+        ["free", "shatter", "--k", "2", "--points", "1^1"],
+        ["free", "search", "--k", "2", "--size", "3", "--samples", "2"],
+        ["heisenberg", "enumerate", "--n1", "1", "--n2", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_only_heisenberg_verify_takes_a_cap_flag(capsys, tmp_path, monkeypatch, argv):
+    # --cap is heisenberg verify's alone: argparse refuses it elsewhere, and
+    # a config's "cap", naming no flag of the command, changes no byte.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "system.json").write_text(json.dumps({"ground": [0, 1], "family": [[0], [1]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "5"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err == "error: unrecognized arguments: --cap 5\n"
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"cap": 5}))
+    assert run(capsys, *argv, "--config", "cfg.json") == plain
 
 
 def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
@@ -801,7 +812,7 @@ def test_consecutive_calls_share_no_state(capsys, tmp_path):
     [
         (
             {"cap": "x"},
-            ["free", "shatter", "--k", "1", "--points", "1^1"],
+            ["heisenberg", "verify", "--nmax", "1"],
             "error: argument --cap: invalid int value: 'x'\n",
             True,
         ),
@@ -916,6 +927,14 @@ def test_config_values_take_the_flag_type(capsys, tmp_path):
     assert report["params"]["max_len"] == 4
 
 
+def command_flags(capsys, group, cmd):
+    """The long flags that ``progvc group cmd --help`` shows in its usage."""
+    with pytest.raises(SystemExit):
+        main([group, cmd, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    return set(re.findall(r"--[a-z][a-z0-9-]*", usage))
+
+
 def test_params_echo_exactly_the_commands_own_flags(capsys, tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"ground": [0, 1], "family": [[0], [1]]}))
@@ -941,18 +960,18 @@ def test_params_echo_exactly_the_commands_own_flags(capsys, tmp_path):
     }
     assert set(argvs) == set(COMMANDS)
     for (group, cmd), argv in argvs.items():
-        with pytest.raises(SystemExit):
-            main([group, cmd, "--help"])
-        usage = capsys.readouterr().out.split("\n\n")[0]
-        flags = {f[2:].replace("-", "_") for f in re.findall(r"--[a-z][a-z0-9-]*", usage)}
+        flags = {f[2:].replace("-", "_") for f in command_flags(capsys, group, cmd)}
         code, report = run_json(capsys, group, cmd, *argv)
         assert code in (0, 1)
         assert set(report["params"]) == flags - {"output", "format", "config"}, (group, cmd)
         assert report["command"] == f"{group}.{cmd}"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("progvc ")]
 
@@ -969,6 +988,24 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert out and not err, argv
         if "--format" not in argv:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+def test_readme_inline_examples_name_only_flags_their_command_takes(capsys):
+    # The examples in the prose, outside the code blocks, may wrap a line and
+    # may abbreviate a flag as argparse allows (`free search --see 5`).
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    checked = 0
+    for span in re.findall(r"`([^`]+)`", prose):
+        words = span.split()
+        if tuple(words[:2]) not in COMMANDS:
+            continue
+        flags = command_flags(capsys, *words[:2])
+        for word in words[2:]:
+            name = word.split("=")[0]
+            if name.startswith("--"):
+                assert name in flags or len([f for f in flags if f.startswith(name)]) == 1, span
+        checked += 1
+    assert checked >= 10
 
 
 # What a report may hold, with the characters json escapes or must pass
@@ -1077,7 +1114,7 @@ COMMANDS = {
     ("heisenberg", "member"): (
         {"--n1": SMALL, "--n2": SMALL, "--point": TRIPLE}, {"--translate": TRIPLE}
     ),
-    ("heisenberg", "enumerate"): ({"--n1": SMALL, "--n2": SMALL}, {"--cap": SMALL}),
+    ("heisenberg", "enumerate"): ({"--n1": SMALL, "--n2": SMALL}, {}),
     ("heisenberg", "witness"): ({"--n1": SMALL, "--n2": SMALL, "--point": TRIPLE}, {}),
     # Budgets past 1 walk for a second or more; the refusals have their own test.
     ("heisenberg", "vc"): ({"--n1": UNIT, "--n2": UNIT}, {}),
@@ -1086,18 +1123,16 @@ COMMANDS = {
     ("bounds", "g"): ({"--d": SMALL, "--k": SMALL}, {}),
     ("bounds", "km"): ({"--d": SMALL, "--l": SMALL, "--s": SMALL, "--n": SMALL}, {}),
     ("bounds", "verify-heisenberg"): ({}, {}),
-    ("free", "shatter"): ({"--k": SMALL, "--points": FREE_POINTS}, {"--cap": SMALL}),
+    ("free", "shatter"): ({"--k": SMALL, "--points": FREE_POINTS}, {}),
     ("free", "example-f2"): ({}, {}),
     ("free", "search"): (
         {"--k": SMALL, "--size": SMALL, "--samples": COUNT},
-        {"--seed": SMALL, "--max-len": SMALL, "--cap": SMALL},
+        {"--seed": SMALL, "--max-len": SMALL},
     ),
     ("free", "witness"): ({"--k": SMALL, "--bounds": INT_LIST}, {"--subset": INT_LIST}),
     ("free", "tripod"): ({"--k": SMALL, "--points": FREE_POINTS}, {}),
-    ("setsystem", "vc"): ({"--file": None}, {"--cap": SMALL}),
-    ("setsystem", "shatter"): (
-        {"--file": None, "--target": st.one_of(INT_LIST, JSON_LABELS)}, {"--cap": SMALL}
-    ),
+    ("setsystem", "vc"): ({"--file": None}, {}),
+    ("setsystem", "shatter"): ({"--file": None, "--target": st.one_of(INT_LIST, JSON_LABELS)}, {}),
     ("setsystem", "pi"): ({"--file": None, "--n": SMALL}, {}),
 }
 COMMON = {

@@ -13,7 +13,6 @@ from progvc.bounds import capital_c
 from progvc.errors import DomainError, ResourceLimitError
 from progvc.freegroup import is_shattered_free, sample_point_set
 from progvc.setsystem import (
-    DEFAULT_TARGET_CAP,
     WORK_CAP,
     SetSystem,
     ShatterReport,
@@ -115,7 +114,7 @@ def test_shatters_empty_target():
 def test_shatters_cap():
     sys_ = intervals_system()
     with pytest.raises(ResourceLimitError):
-        shatters(sys_, range(-10, 11), cap=20)
+        shatters(sys_, range(-10, 11))
     with pytest.raises(DomainError):
         shatters(sys_, {0, 99})
 
@@ -128,13 +127,6 @@ def test_vc_dimension_examples():
 
 def test_vc_dimension_empty_family_is_undefined():
     assert vc_dimension_exact(SetSystem("ab", [])) is None
-
-
-def test_vc_dimension_cap_carries_partial_bound():
-    sys_ = SetSystem("abcde", [[c for i, c in enumerate("abcde") if m >> i & 1] for m in range(32)])
-    with pytest.raises(ResourceLimitError) as err:
-        vc_dimension_exact(sys_, cap=2)
-    assert err.value.partial == 2
 
 
 def test_vc_work_cap_counts_only_sizes_the_family_can_shatter(monkeypatch):
@@ -320,7 +312,7 @@ def _powerset(points):
 # The original searches: every candidate subset of a level is tested by
 # scanning the whole family. They stay here as the reference the
 # column-partition walks must match, exceptions included; the VC scan
-# models the subset-size cap but not the walk's node budget.
+# does not model the walk's node budget.
 
 
 def level_has_shattered_subset(sys_, size):
@@ -334,21 +326,15 @@ def level_has_shattered_subset(sys_, size):
     return False
 
 
-def level_scan_vc(sys_, cap=DEFAULT_TARGET_CAP):
+def level_scan_vc(sys_):
     if not sys_.masks:
         return None
     best = 0
-    top = min(cap, len(sys_.ground))
-    for size in range(1, top + 1):
+    for size in range(1, len(sys_.ground) + 1):
         if level_has_shattered_subset(sys_, size):
             best = size
         else:
-            return best
-    if top < len(sys_.ground) and len(sys_.masks) >= 2 ** (top + 1):
-        raise ResourceLimitError(
-            f"dimension at least {best} but search capped at subset size {top}",
-            partial=best,
-        )
+            break
     return best
 
 
@@ -374,7 +360,7 @@ def outcome(fn, *args, **kwargs):
 @st.composite
 def rich_systems(draw):
     # Random members plus, half the time, every subset of one drawn set, so
-    # dimensions up to the ground size occur and the caps are reached.
+    # dimensions up to the ground size occur and the work cap is reached.
     n = draw(st.integers(0, 8))
     fam = draw(st.lists(st.integers(0, 2**n - 1), max_size=40))
     if draw(st.booleans()):
@@ -383,18 +369,18 @@ def rich_systems(draw):
     return SetSystem.from_masks(range(n), fam)
 
 
-@given(rich_systems(), st.integers(0, 9), st.one_of(st.integers(1, 60), st.just(10**9)))
-def test_vc_and_pi_match_level_scans(sys_, cap, work_cap):
+@given(rich_systems(), st.one_of(st.integers(1, 60), st.just(10**9)))
+def test_vc_and_pi_match_level_scans(sys_, work_cap):
     # Patched per example: a function-scoped fixture would span them all.
     with mock.patch.object(setsystem, "WORK_CAP", work_cap):
-        walk, scan = outcome(vc_dimension_exact, sys_, cap=cap), outcome(level_scan_vc, sys_, cap=cap)
+        walk, scan = outcome(vc_dimension_exact, sys_), outcome(level_scan_vc, sys_)
         # Only the walk's node budget, never reached at 10**9, may refuse
         # where the scan answers; its partial is then certified.
         if walk != scan:
             assert work_cap < 10**9
             name, message, partial = walk
             assert name == "ResourceLimitError" and message.startswith("walk needs more than")
-            assert partial <= (scan[1] if scan[0] == "value" else scan[2])
+            assert partial <= scan[1]
         for n in range(len(sys_.ground) + 1):
             assert outcome(shatter_function, sys_, n) == outcome(level_scan_pi, sys_, n, work_cap=work_cap)
 
