@@ -14,7 +14,9 @@ contains ground point i. Appending a point splits each cell X into
 ``X & col`` and ``X ^ (X & col)``, and an s-set is shattered iff it has 2^s
 cells. ``vc_dimension_exact`` and ``translate_vc``, the VC dimension of
 the translates of a finite set in a group, share one walk that extends
-only shattered sets, so it stops at the first cell a point leaves whole.
+only shattered sets that can still beat the best depth found: k more
+points split each cell into 2^k, so at depth d a point joins only if
+every cell keeps 2^(best - d) members on each side.
 
 ``shatter_function`` needs the full trace count at every node of its walk,
 so it keeps each member's trace as a byte in one int over the members:
@@ -263,11 +265,15 @@ def _walk(cols: list, compat: list, root: tuple, deepest: int, budget: int) -> t
     A node is (cells, depth, candidates, chosen): the partition of the
     family by trace on the chosen points, and masks of the points that may
     still join and of those chosen. Trying the lowest candidate j splits
-    every cell by column j, stopping at the first cell it leaves whole; if
-    every cell splits, the child has j chosen and its candidates cut to
-    ``compat[j]``. The node then goes on without j. Only shattered sets are
-    extended, since subsets of shattered sets are shattered, and a node
-    that cannot pass ``deepest`` or the best depth so far is skipped.
+    every cell by column j. The child at depth d + 1 matters only if it
+    reaches best + 1, and best - d more points split each of its cells
+    into 2^(best - d) nonempty ones, so the split stops at the first side
+    with fewer than 2^(best - d) members; at d = best that is the first
+    cell j leaves whole. If every cell splits, the child has j chosen and
+    its candidates cut to ``compat[j]``. The node then goes on without j.
+    Only shattered sets are extended, since subsets of shattered sets are
+    shattered, and a node that cannot pass ``deepest`` or the best depth
+    so far is skipped.
     Trying more than ``budget`` points raises ResourceLimitError with the
     best depth, a certified lower bound, as ``partial``.
     Returns the deepest node and the number of points tried.
@@ -289,13 +295,16 @@ def _walk(cols: list, compat: list, root: tuple, deepest: int, budget: int) -> t
         rem ^= low
         push((cells, d, rem, chosen))
         col = cols[j]
-        # Split every cell, stopping at the first one the point leaves whole.
+        # Split every cell, stopping at the first side too small for the
+        # child's best - d more points to split it into 2^(best - d) cells.
+        need = 1 << (best - d)
         split = []
         for x in cells:
             inside = x & col
-            if not inside or inside == x:
+            out = x ^ inside
+            if inside.bit_count() < need or out.bit_count() < need:
                 break
-            split += (inside, x ^ inside)
+            split += (inside, out)
         else:
             child = (split, d + 1, rem & compat[j], chosen | low)
             if d + 1 > best:
@@ -323,7 +332,8 @@ def vc_dimension_exact(sys: SetSystem) -> Optional[int]:
         return None
     n = len(sys.ground)
     size = len(sys.masks)
-    # A shattered s-set has 2^s <= |F| traces.
+    # A shattered s-set has 2^s <= |F| traces: the walk's cell-size rule at
+    # the root, whose one cell holds the whole family.
     deepest = min(n, size.bit_length() - 1)
     every = (1 << n) - 1
     root = ([(1 << size) - 1], 0, every, 0)

@@ -302,7 +302,7 @@ def test_heisenberg_witness_outside_domain(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("n1, n2, vc", [(1, 1, 3), (2, 1, 4), (1, 2, 4)])
+@pytest.mark.parametrize("n1, n2, vc", [(1, 1, 3), (2, 1, 4), (1, 2, 4), (2, 2, 5)])
 def test_heisenberg_vc(capsys, n1, n2, vc):
     code, report = run_json(capsys, "heisenberg", "vc", "--n1", str(n1), "--n2", str(n2))
     assert code == 0
@@ -632,11 +632,11 @@ def test_setsystem_shatter_report_digests(capsys, tmp_path, monkeypatch, fmt):
 
 
 def test_setsystem_vc_charges_the_nodes_it_walks(capsys, tmp_path, monkeypatch):
-    # The walk certifies 6 on this system in 8,206 nodes, within a cap of
-    # 10,000 that C(16, 7) = 11,440 candidate 7-subsets would exceed.
+    # The walk certifies 6 on this system in 1,604 nodes, within a cap of
+    # 2,000 that C(16, 7) = 11,440 candidate 7-subsets would exceed.
     path = tmp_path / "random.json"
     path.write_text(json.dumps(random_system(1, 16, 200)))
-    monkeypatch.setattr(setsystem, "WORK_CAP", 10_000)
+    monkeypatch.setattr(setsystem, "WORK_CAP", 2_000)
     code, report = run_json(capsys, "setsystem", "vc", "--file", str(path))
     assert code == 0 and report["result"]["vc"] == 6
 
@@ -644,10 +644,10 @@ def test_setsystem_vc_charges_the_nodes_it_walks(capsys, tmp_path, monkeypatch):
 def test_setsystem_vc_past_the_work_cap_names_the_certified_partial(capsys, tmp_path, monkeypatch):
     path = tmp_path / "random.json"
     path.write_text(json.dumps(random_system(1, 16, 200)))
-    monkeypatch.setattr(setsystem, "WORK_CAP", 8_000)
+    monkeypatch.setattr(setsystem, "WORK_CAP", 1_000)
     code, out, err = run_stderr(capsys, "setsystem", "vc", "--file", str(path))
     assert (code, out) == (2, "")
-    assert err == "resource limit: walk needs more than the 8000 nodes left of the work cap (certified partial: 6)\n"
+    assert err == "resource limit: walk needs more than the 1000 nodes left of the work cap (certified partial: 6)\n"
 
 
 def test_setsystem_missing_file(capsys):

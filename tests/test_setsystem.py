@@ -1,5 +1,6 @@
 """Tests for finite set systems, shattering, and exact VC dimension."""
 
+import contextlib
 import math
 import random
 from itertools import combinations
@@ -616,3 +617,108 @@ def test_translate_vc_rejects_sets_not_closed_under_inverses():
     for K in ([], [(0,), (1,)]):
         with pytest.raises(DomainError):
             setsystem.translate_vc(K, vec_add, vec_neg, (0,))
+
+
+# ------------------------------------- the cell-size bound against no bound
+
+
+def unbounded_walk(cols, compat, root, deepest, budget):
+    """``_walk`` without the cell-size bound: a point joins a node's set
+    whenever it splits every cell, however small a side it leaves."""
+    found, best, nodes = root, root[1], 0
+    stack = [root] if best < deepest else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        cells, d, rem, chosen = pop()
+        if d + rem.bit_count() <= best:
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(f"walk needs more than the {budget} nodes left of the work cap", partial=best)
+        low = rem & -rem
+        j = low.bit_length() - 1
+        rem ^= low
+        push((cells, d, rem, chosen))
+        col = cols[j]
+        split = []
+        for x in cells:
+            inside = x & col
+            if not inside or inside == x:
+                break
+            split += (inside, x ^ inside)
+        else:
+            child = (split, d + 1, rem & compat[j], chosen | low)
+            if d + 1 > best:
+                found, best = child, d + 1
+                if best == deepest:
+                    break
+            push(child)
+    return found, nodes
+
+
+@contextlib.contextmanager
+def paired_walks():
+    """Run every ``_walk`` call beside ``unbounded_walk`` on the same
+    arguments, and yield the list of their ((found, nodes), (found, nodes))
+    pairs."""
+    calls, walk = [], setsystem._walk
+
+    def both(*args, **kwargs):
+        calls.append((walk(*args, **kwargs), unbounded_walk(*args, **kwargs)))
+        return calls[-1][0]
+
+    with mock.patch.object(setsystem, "_walk", both):
+        yield calls
+
+
+def assert_same_walk(calls):
+    # The bound only skips children that cannot beat the best depth, so the
+    # deepest node (its cells, candidates and chosen mask) is the same one,
+    # reached in no more nodes.
+    ((found, nodes), (ref_found, ref_nodes)), = calls
+    assert found == ref_found
+    assert nodes <= ref_nodes
+    return ref_found
+
+
+@st.composite
+def random_systems(draw):
+    # Up to 300 random members on at most 12 points, plus, half the time,
+    # every subset of one drawn set, so deep answers occur too.
+    g = draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fam = rng.sample(range(2**g), draw(st.integers(1, min(300, 2**g))))
+    if draw(st.booleans()):
+        base = rng.getrandbits(g)
+        fam += [m for m in range(2**g) if m & ~base == 0]
+    return SetSystem.from_masks(range(g), fam)
+
+
+@settings(max_examples=60)
+@given(random_systems())
+def test_cell_size_bound_keeps_the_unbounded_walks_answer(sys_):
+    with paired_walks() as calls:
+        value = vc_dimension_exact(sys_)
+    _, depth, _, _ = assert_same_walk(calls)
+    assert value == depth
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cell_size_bound_keeps_the_rooted_walk_on_planar_boxes(n):
+    K = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)]
+    with paired_walks() as calls:
+        assert setsystem.translate_vc(K, vec_add, vec_neg, (0, 0))["vc"] == 3
+    assert_same_walk(calls)
+
+
+def test_cell_size_bound_keeps_the_rooted_walk_on_heisenberg_p11():
+    from progvc.heisenberg import IDENTITY, enumerate_progression, h_inv, h_mul
+
+    K = sorted(enumerate_progression(1, 1))
+    with paired_walks() as calls:
+        result = setsystem.translate_vc(K, h_mul, h_inv, IDENTITY)
+    assert result["vc"] == 3
+    assert_same_walk(calls)
+    # The unbounded walk takes 2,508 nodes here.
+    (_, (_, ref_nodes)), = calls
+    assert result["nodes"] < ref_nodes == 2508
